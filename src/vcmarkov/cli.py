@@ -118,12 +118,22 @@ def _min_partial(args) -> int:
     return max(args.block_len // 2, 1)
 
 
-def _load_single(args, ctx: RunContext, *, source_index: int = 0) -> LoadedSource:
+def _load_single(args, ctx: RunContext) -> LoadedSource:
     label = args.source_id or os.path.splitext(os.path.basename(args.input))[0]
-    layout = _resolve_layout(args.layout)
-    scheme = _resolve_scheme(args.scheme)
+    return _load_labeled(
+        args, ctx, args.input, label,
+        _resolve_layout(args.layout), _resolve_scheme(args.scheme),
+    )
+
+
+def _load_labeled(
+    args, ctx: RunContext, path: str, label: str, layout: LayoutConfig, scheme,
+    *, source_index: int = 0,
+) -> LoadedSource:
+    """Load one source with the block options of ``args``; under the
+    surrogate wrapper, shuffle it if its label is selected."""
     src = load_source(
-        _read_text(args.input),
+        _read_text(path),
         layout,
         scheme,
         label=label,
@@ -532,28 +542,10 @@ def cmd_regress(args, ctx: RunContext) -> None:
     scheme_desc: dict[str, dict] = {}
     for idx, label in enumerate(sorted(sources)):
         scheme = _resolve_scheme(schemes.get(label, args.scheme))
-        layout = _resolve_layout(layouts.get(label))
-        text = _read_text(sources[label])
-        src = load_source(
-            text, layout, scheme,
-            label=label,
-            block_len=args.block_len,
-            keep_partial=args.keep_partial,
-            min_partial=_min_partial(args),
-            unknown_policy=args.unknown,
-            include_epigraphs=args.include_epigraphs,
-        )
-        if ctx.surrogate and ctx.surrogate.applies(label):
-            seq = make_surrogate(
-                src.sequence,
-                ctx.surrogate.subblock_len,
-                derived_rng(ctx.surrogate.seed, STREAM_SURROGATE, idx),
-            )
-            src = LoadedSource(
-                label=label, corpus=src.corpus, sequence=seq,
-                segmentation=src.segmentation,
-            )
-        loaded.append(src)
+        loaded.append(_load_labeled(
+            args, ctx, sources[label], label, _resolve_layout(layouts.get(label)),
+            scheme, source_index=idx,
+        ))
         inputs.append(sources[label])
         if layouts.get(label):
             inputs.append(layouts[label])

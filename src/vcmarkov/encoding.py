@@ -189,6 +189,4 @@ def origin_rows(seq: SymbolSequence) -> Iterable[tuple[int, int, int, int, int]]
     """Yield (symbol index, part, stanza, line, offset) rows for CSV export."""
     if seq.origin is None:
         raise DomainError("sequence has no origin map")
-    for i in range(len(seq)):
-        p, s, ln, off = (int(v) for v in seq.origin[i])
-        yield i, p, s, ln, off
+    yield from zip(range(len(seq)), *seq.origin.T.tolist())

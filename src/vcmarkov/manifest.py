@@ -104,7 +104,8 @@ def build_manifest(
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        # np.float64 is a float whose repr is "np.float64(...)" under numpy 2
+        return repr(float(value))
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)

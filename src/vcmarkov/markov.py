@@ -310,9 +310,8 @@ def simulate_sequence(
     then ``length - 2`` uniforms, one per transition, in sequence order.
     ``init`` names the first two symbols, e.g. ``"VC"``.
 
-    The transition scan is computed by composing per-step state maps in
-    logarithmic depth, which keeps long simulations at numpy speed while
-    consuming exactly the uniforms listed above.
+    The chain steps sequentially: uniform k moves the bigram state s to
+    ``((s & 1) << 1) | (u_k < p[s])``, one double comparison per step.
     """
     if length < 2:
         raise ValueError("length must be at least 2: the state is a bigram")
@@ -326,26 +325,15 @@ def simulate_sequence(
         if len(init) != 2 or set(init) - {"V", "C"}:
             raise ValueError(f"init must be two symbols from {{V, C}}, got {init!r}")
         state = ((init[0] == "V") << 1) | (init[1] == "V")
-    symbols = np.empty(length, dtype=np.uint8)
-    symbols[0] = state >> 1
-    symbols[1] = state & 1
-    steps = length - 2
-    if steps > 0:
-        u = rng.random(steps)
-        pvec = model.as_vector()
-        # maps[k, s] = state after applying step k to state s
-        maps = np.empty((steps, 4), dtype=np.int8)
-        for s in range(4):
-            maps[:, s] = ((s & 1) << 1) | (u < pvec[s])
-        offset = 1
-        while offset < steps:
-            # prefix composition: steps [k-offset, k] collapse into step k
-            maps[offset:] = np.take_along_axis(
-                maps[offset:], maps[:-offset].astype(np.intp), axis=1
-            )
-            offset *= 2
-        states = maps[:, state]
-        symbols[2:] = states & 1
+    pvec = model.as_vector().tolist()
+    states = [state >> 1, state]
+    # the low bit of each entry is one symbol: the older symbol of the first
+    # bigram, then the newer symbol of every state. Python scalars throughout:
+    # writing each state into the numpy array would cost more than the loop
+    for u_k in rng.random(length - 2).tolist():
+        state = ((state & 1) << 1) | (u_k < pvec[state])
+        states.append(state)
+    symbols = np.array(states, dtype=np.uint8) & 1
     return SymbolSequence(symbols=symbols, source_id="simulated")
 
 

@@ -1,9 +1,11 @@
 """Diagnostics and inference: ACF, Ljung-Box, Spearman, interaction OLS.
 
-Rank statistics use mid-ranks for ties throughout. Spearman p-values are
-exact (full permutation enumeration) up to n = 10 and use the standard
-t approximation above that; partial correlations always use the
-t approximation with the reduced degrees of freedom.
+Rank statistics use mid-ranks for ties throughout, computed in numpy.
+Spearman p-values are exact (full permutation enumeration) up to n = 10
+and use the standard t approximation above that; partial correlations
+always use the t approximation with the reduced degrees of freedom.
+scipy is imported only where a chi-squared or Student-t tail is
+evaluated, so loading this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaincc, stdtr
-from scipy.stats import rankdata
 
 from .errors import DomainError
 from .markov import WhichCF, sequence_report
@@ -68,6 +68,8 @@ def ljung_box_test(acf: AcfResult, h: int) -> LjungBoxResult:
     Q = n (n + 2) * sum_{k<=h} rho_k^2 / (n - k), compared against the
     chi-squared distribution with h degrees of freedom.
     """
+    from scipy.special import gammaincc
+
     if h < 1:
         raise ValueError("h must be at least 1")
     if h > acf.lags.size:
@@ -98,6 +100,19 @@ class SpearmanResult:
     controlled_for: tuple[str, ...] = ()
 
 
+def midranks(a: np.ndarray) -> np.ndarray:
+    """1-based mid-ranks: tied values share the mean of their positions.
+
+    Every rank is an exact half-integer, so the result equals
+    ``scipy.stats.rankdata(a)`` (method ``average``) bit for bit. NaN has
+    no rank and raises :class:`DomainError`.
+    """
+    if np.isnan(a).any():
+        raise DomainError("ranks undefined: input contains NaN")
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     cx = x - x.mean()
     cy = y - y.mean()
@@ -110,6 +125,8 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _t_approx_p(rho: float, dof: int) -> float:
+    from scipy.special import stdtr
+
     if dof < 1:
         raise DomainError(f"too few observations: {dof} degrees of freedom")
     if 1.0 - rho * rho <= 0.0:
@@ -159,8 +176,8 @@ def spearman_test(x, y) -> SpearmanResult:
     n = xa.size
     if n < 3:
         raise ValueError(f"need at least 3 pairs, got {n}")
-    rx = rankdata(xa)
-    ry = rankdata(ya)
+    rx = midranks(xa)
+    ry = midranks(ya)
     rho = _pearson(rx, ry)
     if n <= _EXACT_SPEARMAN_MAX_N:
         p = _exact_permutation_p(rx, ry, rho)
@@ -203,9 +220,9 @@ def partial_spearman(
         raise ValueError(f"need at least 3 + {k} observations, got {n}")
     if names is not None and len(names) != k:
         raise ValueError("names must match the number of controls")
-    rx = rankdata(xa)
-    ry = rankdata(ya)
-    Z = np.column_stack([np.ones(n)] + [rankdata(c) for c in ctrl])
+    rx = midranks(xa)
+    ry = midranks(ya)
+    Z = np.column_stack([np.ones(n)] + [midranks(c) for c in ctrl])
     if np.linalg.matrix_rank(Z) < Z.shape[1]:
         raise DomainError("control ranks are collinear; partial correlation undefined")
     res_x = _residualize(rx, Z)

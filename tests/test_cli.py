@@ -271,6 +271,38 @@ def test_surrogate_wrapper_shuffles_profile(poem_file, layout_file, tmp_path):
     assert plain_bytes != wrapped_bytes
 
 
+def test_surrogate_regress_shuffles_only_the_named_source(
+    poem_file, layout_file, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    other = tmp_path / "other.txt"
+    other.write_text(build_poem(seed=456), encoding="utf-8")
+    regress = [
+        "regress",
+        "--source", f"aa={poem_file}", "--source", f"bb={other}",
+        "--layout", f"aa={layout_file}", "--layout", f"bb={layout_file}",
+        "--block-len", "400", "--subblock-len", "50",
+        "--replicates", "5", "--seed", "2", "--out",
+    ]
+    wrapper = [
+        "surrogate", "--surrogate-seed", "3", "--surrogate-subblock-len", "40",
+        "--apply-to", "bb",
+    ]
+    plain, a, b = (str(tmp_path / name) for name in ("plain", "a", "b"))
+    assert run_cli(regress + [plain]) == 0
+    assert run_cli(wrapper + regress + [a]) == 0
+    assert run_cli(wrapper + regress + [b]) == 0
+    assert _tree_digest(a) == _tree_digest(b)
+    assert read_manifest(a)["config"]["surrogate"]["apply_to"] == ["bb"]
+
+    def md_rows(out, label):
+        return [r for r in data_rows(os.path.join(out, "md_blocks.csv"))
+                if r["source"] == label]
+
+    assert md_rows(a, "aa") == md_rows(plain, "aa")
+    assert md_rows(a, "bb") != md_rows(plain, "bb")
+
+
 def test_surrogate_requires_wrapped_command():
     with pytest.raises(SystemExit) as exc:
         run_cli(["surrogate", "--surrogate-seed", "1"])
@@ -386,6 +418,48 @@ def test_reruns_are_byte_identical(poem_file, layout_file, tmp_path, monkeypatch
     assert run_cli(argv + [a]) == 0
     assert run_cli(argv + [b]) == 0
     assert _tree_digest(a) == _tree_digest(b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bootstrap", "--subblock-len", "50", "--replicates", "5"],
+    ["acf", "--subblock-len", "50", "--replicates", "5", "--max-lag", "4",
+     "--ci-lags", "2", "--lb-lag", "3"],
+    ["simulate", "--ensemble", "3", "--sim-length", "500"],
+    ["regress", "--subblock-len", "50", "--replicates", "5"],
+], ids=lambda argv: argv[0])
+def test_numeric_csv_cells_parse_as_numbers(argv, poem_file, layout_file, out_dir):
+    if argv[0] == "regress":
+        sources = ["--source", f"aa={poem_file}", "--source", f"bb={poem_file}",
+                   "--layout", f"aa={layout_file}", "--layout", f"bb={layout_file}"]
+    else:
+        sources = ["--input", poem_file, "--layout", layout_file]
+    rc = run_cli(argv[:1] + sources + argv[1:] + ["--block-len", "400", "--out", out_dir])
+    assert rc == 0
+    text_columns = {"source", "statistic", "coefficient"}
+    names = sorted(n for n in os.listdir(out_dir) if n.endswith(".csv"))
+    assert names
+    for name in names:
+        for row in data_rows(os.path.join(out_dir, name)):
+            for column, cell in row.items():
+                if column in text_columns or cell == "":
+                    continue
+                try:
+                    float(cell)
+                except ValueError:
+                    pytest.fail(f"{name}: {column} cell {cell!r} is not a number")
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "from vcmarkov.cli import build_parser\n"
+        "build_parser()\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_output_dir_env_var(poem_file, layout_file, tmp_path, monkeypatch):

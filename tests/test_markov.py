@@ -4,6 +4,8 @@ The dispersion numbers are checked against independent recomputations of
 the defining formulas, never against the implementation itself.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -245,6 +247,26 @@ def test_simulate_minimal_length(fixture_chain):
     assert len(seq) == 2
     with pytest.raises(ValueError):
         simulate_sequence(fixture_chain, 1, seed=1)
+
+
+# sha256 of the symbols at seed 3: pins the draw order as well as the
+# transitions, so a rewrite of the simulator must reproduce these bytes
+SIMULATION_DIGESTS = {
+    (2, None): "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+    (2, "VC"): "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254",
+    (3, None): "cf7605ed1bc735f6c825554154627467e1cac9df54cee8699218ed434603c568",
+    (3, "VC"): "85f90dfea1d8027e1463e5ca971a250110a20df0119d204a74220bc63516d15b",
+    (10_000, None): "8eca2987f8a502d34d142e751e03211426bf1c0d0e1ba90a9ed89c4328cb189b",
+    (10_000, "VC"): "e39c314894339c2eadd1adaead6cfb26f737e1e4fd02f3538a51da37a2fe5f1b",
+}
+
+
+@pytest.mark.parametrize("length,init", sorted(SIMULATION_DIGESTS, key=str))
+def test_simulate_output_is_pinned(fixture_chain, length, init):
+    seq = simulate_sequence(fixture_chain, length, seed=3, init=init)
+    assert seq.symbols.dtype == np.uint8
+    digest = hashlib.sha256(seq.symbols.tobytes()).hexdigest()
+    assert digest == SIMULATION_DIGESTS[(length, init)]
 
 
 def test_simulate_transition_frequencies(fixture_chain):

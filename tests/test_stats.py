@@ -26,6 +26,7 @@ from vcmarkov import (
 from vcmarkov.errors import DomainError
 from vcmarkov.stats import (
     COEFFICIENT_NAMES,
+    midranks,
     regression_rows_from_blocks,
     white_noise_band,
 )
@@ -113,6 +114,28 @@ def test_white_noise_band():
 
 
 # ------------------------------------------------------------ Spearman
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 4.0, 1.5, 9.0, 2.6],
+    [2.0, 7.0, 2.0, 1.0, 7.0, 7.0, 0.5, 2.0],
+    [5.0, 5.0, 5.0, 5.0],
+    np.random.default_rng(9).integers(0, 6, 200).astype(float).tolist(),
+], ids=["untied", "tied", "constant", "many-ties"])
+def test_midranks_match_scipy_rankdata(values):
+    ranks = midranks(np.array(values))
+    expected = scipy.stats.rankdata(values)
+    assert ranks.dtype == expected.dtype
+    assert ranks.tobytes() == expected.tobytes()
+
+
+def test_rank_tests_reject_nan():
+    x = [1.0, 2.0, float("nan"), 4.0, 5.0]
+    y = [1.0, 2.0, 3.0, 4.0, 5.0]
+    with pytest.raises(DomainError, match="NaN"):
+        spearman_test(x, y)
+    with pytest.raises(DomainError, match="NaN"):
+        partial_spearman(y, y[::-1], [x])
 
 
 def test_spearman_perfect_monotone():
