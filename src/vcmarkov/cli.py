@@ -18,7 +18,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .corpus import (
@@ -85,12 +85,14 @@ class SurrogateSpec:
 @dataclass
 class RunContext:
     surrogate: Optional[SurrogateSpec] = None
-    extra_inputs: list[str] = field(default_factory=list)
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8-sig") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _resolve_layout(path: Optional[str]) -> LayoutConfig:
@@ -155,7 +157,7 @@ def _load_labeled(
     return src
 
 
-def _manifest_for(args, ctx: RunContext, command: str, config: dict, inputs, schemes, seeds):
+def _manifest_for(ctx: RunContext, command: str, config: dict, inputs, schemes, seeds):
     cfg = dict(config)
     if ctx.surrogate:
         cfg["surrogate"] = ctx.surrogate.config()
@@ -178,6 +180,14 @@ def _interval_row(label, block, statistic, point, iv, n):
     return (label, block, statistic, point, iv.lo, iv.hi, iv.level, n)
 
 
+def _interval_json(iv) -> dict:
+    return {"lo": iv.lo, "hi": iv.hi, "level": iv.level}
+
+
+def _mbb_config(args) -> MbbConfig:
+    return MbbConfig(args.block_len, args.subblock_len, args.replicates, master_seed=args.seed)
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -189,7 +199,7 @@ def cmd_parse(args, ctx: RunContext) -> None:
     stats = line_statistics(corpus)
     inputs = [args.input] + ([args.layout] if args.layout else [])
     manifest = _manifest_for(
-        args, ctx, "parse",
+        ctx, "parse",
         {"layout": args.layout, "scheme": args.scheme, "source_id": label},
         inputs, {label: scheme.to_dict() if scheme else None}, {},
     )
@@ -216,7 +226,7 @@ def cmd_align(args, ctx: RunContext) -> None:
     inputs = [args.reference, args.other]
     inputs += [p for p in (args.reference_layout, args.other_layout) if p]
     manifest = _manifest_for(
-        args, ctx, "align",
+        ctx, "align",
         {"reference": args.reference_id, "other": args.other_id},
         inputs, {}, {},
     )
@@ -259,21 +269,21 @@ def _single_config(args, **extra) -> dict:
     return cfg
 
 
-def _single_inputs(args) -> list[str]:
-    inputs = [args.input]
-    if args.layout:
-        inputs.append(args.layout)
+def _single_manifest(args, ctx: RunContext, command: str, src: LoadedSource, *,
+                     seeds: Optional[dict] = None, extra_inputs=(), **config):
+    """Manifest of a single-source command: its options, input files and scheme."""
+    inputs = [p for p in (args.input, args.layout) if p]
     if args.scheme and os.path.exists(args.scheme):
         inputs.append(args.scheme)
-    return inputs
+    return _manifest_for(
+        ctx, command, _single_config(args, **config), inputs + list(extra_inputs),
+        {src.label: _resolve_scheme(args.scheme).to_dict()}, seeds or {},
+    )
 
 
 def cmd_encode(args, ctx: RunContext) -> None:
     src = _load_single(args, ctx)
-    manifest = _manifest_for(
-        args, ctx, "encode", _single_config(args), _single_inputs(args),
-        {src.label: _resolve_scheme(args.scheme).to_dict()}, {},
-    )
+    manifest = _single_manifest(args, ctx, "encode", src)
     with _outputs(args, manifest) as out:
         out.write_text("sequence.txt", src.sequence.to_string())
         out.write_csv(
@@ -297,11 +307,8 @@ def cmd_profile(args, ctx: RunContext) -> None:
             f"warning: only {len(src.segmentation)} blocks; "
             "skipping md correlations", file=sys.stderr,
         )
-    manifest = _manifest_for(
-        args, ctx, "profile",
-        _single_config(args, which_cf=args.which_cf, control_set=args.control_set),
-        _single_inputs(args),
-        {src.label: _resolve_scheme(args.scheme).to_dict()}, {},
+    manifest = _single_manifest(
+        args, ctx, "profile", src, which_cf=args.which_cf, control_set=args.control_set
     )
     with _outputs(args, manifest) as out:
         out.write_csv("blocks.csv", PROFILE_COLUMNS, rows)
@@ -315,22 +322,12 @@ def cmd_profile(args, ctx: RunContext) -> None:
 
 def cmd_bootstrap(args, ctx: RunContext) -> None:
     src = _load_single(args, ctx)
-    cfg = MbbConfig(
-        block_len=args.block_len,
-        subblock_len=args.subblock_len,
-        n_replicates=args.replicates,
-        master_seed=args.seed,
-    )
+    cfg = _mbb_config(args)
     results = bootstrap_blocks(src, cfg, level=args.level, which_cf=args.which_cf)
-    manifest = _manifest_for(
-        args, ctx, "bootstrap",
-        _single_config(
-            args, subblock_len=args.subblock_len, replicates=args.replicates,
-            level=args.level, which_cf=args.which_cf,
-        ),
-        _single_inputs(args),
-        {src.label: _resolve_scheme(args.scheme).to_dict()},
-        {"master_seed": args.seed},
+    manifest = _single_manifest(
+        args, ctx, "bootstrap", src, seeds={"master_seed": args.seed},
+        subblock_len=args.subblock_len, replicates=args.replicates,
+        level=args.level, which_cf=args.which_cf,
     )
     with _outputs(args, manifest) as out:
         rep_rows = []
@@ -363,26 +360,15 @@ def cmd_bootstrap(args, ctx: RunContext) -> None:
 
 def cmd_acf(args, ctx: RunContext) -> None:
     src = _load_single(args, ctx)
-    cfg = MbbConfig(
-        block_len=args.block_len,
-        subblock_len=args.subblock_len,
-        n_replicates=args.replicates,
-        master_seed=args.seed,
-    )
     results = acf_blocks(
-        src, cfg, max_lag=args.max_lag, ci_lags=args.ci_lags,
+        src, _mbb_config(args), max_lag=args.max_lag, ci_lags=args.ci_lags,
         lb_h=args.lb_lag, level=args.level,
     )
-    manifest = _manifest_for(
-        args, ctx, "acf",
-        _single_config(
-            args, subblock_len=args.subblock_len, replicates=args.replicates,
-            max_lag=args.max_lag, ci_lags=args.ci_lags, lb_lag=args.lb_lag,
-            level=args.level,
-        ),
-        _single_inputs(args),
-        {src.label: _resolve_scheme(args.scheme).to_dict()},
-        {"master_seed": args.seed},
+    manifest = _single_manifest(
+        args, ctx, "acf", src, seeds={"master_seed": args.seed},
+        subblock_len=args.subblock_len, replicates=args.replicates,
+        max_lag=args.max_lag, ci_lags=args.ci_lags, lb_lag=args.lb_lag,
+        level=args.level,
     )
     with _outputs(args, manifest) as out:
         acf_rows = []
@@ -422,15 +408,10 @@ def cmd_simulate(args, ctx: RunContext) -> None:
         which_cf=args.which_cf,
         level=args.level,
     )
-    manifest = _manifest_for(
-        args, ctx, "simulate",
-        _single_config(
-            args, ensemble=args.ensemble, sim_length=args.sim_length,
-            model_block=args.model_block, which_cf=args.which_cf, level=args.level,
-        ),
-        _single_inputs(args),
-        {src.label: _resolve_scheme(args.scheme).to_dict()},
-        {"master_seed": args.seed},
+    manifest = _single_manifest(
+        args, ctx, "simulate", src, seeds={"master_seed": args.seed},
+        ensemble=args.ensemble, sim_length=args.sim_length,
+        model_block=args.model_block, which_cf=args.which_cf, level=args.level,
     )
     with _outputs(args, manifest) as out:
         out.write_csv(
@@ -445,20 +426,10 @@ def cmd_simulate(args, ctx: RunContext) -> None:
             "n_simulations": summary.n_simulations,
             "sim_length": summary.sim_length,
             "empirical_md": summary.empirical_md,
-            "md_interval": {
-                "lo": summary.md_interval.lo, "hi": summary.md_interval.hi,
-                "level": summary.md_interval.level,
-            },
+            "md_interval": _interval_json(summary.md_interval),
             "discrepancy_median": summary.discrepancy_median,
-            "discrepancy_interval": {
-                "lo": summary.discrepancy_interval.lo,
-                "hi": summary.discrepancy_interval.hi,
-                "level": summary.discrepancy_interval.level,
-            },
-            "median_interval": {
-                "lo": summary.median_interval.lo, "hi": summary.median_interval.hi,
-                "level": summary.median_interval.level,
-            },
+            "discrepancy_interval": _interval_json(summary.discrepancy_interval),
+            "median_interval": _interval_json(summary.median_interval),
         })
 
 
@@ -487,7 +458,10 @@ def _read_profile_blocks(path: str) -> list[tuple[int, float]]:
         raise DataError(f"{path}: expected a blocks.csv with 'block' and 'md' columns")
     out = []
     for rec in reader:
-        out.append((int(rec["block"]), float(rec["md"])))
+        try:
+            out.append((int(rec["block"]), float(rec["md"])))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad block row {rec!r}: {exc}") from exc
     if not out:
         raise DataError(f"{path}: no block rows")
     return out
@@ -504,7 +478,7 @@ def cmd_regress_blocks(args, ctx: RunContext) -> None:
             rows.append((md, block, label))
     fit = fit_interaction_model(rows, baseline=args.baseline)
     manifest = _manifest_for(
-        args, ctx, "regress",
+        ctx, "regress",
         {"blocks": tables, "baseline": fit.baseline, "which_cf": args.which_cf},
         list(tables.values()), {}, {},
     )
@@ -550,18 +524,13 @@ def cmd_regress(args, ctx: RunContext) -> None:
         if layouts.get(label):
             inputs.append(layouts[label])
         scheme_desc[label] = scheme.to_dict()
-    cfg = MbbConfig(
-        block_len=args.block_len,
-        subblock_len=args.subblock_len,
-        n_replicates=args.replicates,
-        master_seed=args.seed,
-    )
     blocks = blocks_by_label(loaded)
     fit = bootstrap_model_coefficients(
-        blocks, cfg, level=args.level, which_cf=args.which_cf, baseline=args.baseline
+        blocks, _mbb_config(args), level=args.level, which_cf=args.which_cf,
+        baseline=args.baseline,
     )
     manifest = _manifest_for(
-        args, ctx, "regress",
+        ctx, "regress",
         {
             "sources": sources, "layouts": layouts, "scheme_map": schemes,
             "scheme": args.scheme, "baseline": fit.baseline,
@@ -646,17 +615,13 @@ def cmd_probe(args, ctx: RunContext) -> None:
                 category_report.labeled, src.corpus, name_forms,
                 include_epigraphs=args.include_epigraphs,
             )
-    extra_inputs = [p for p in (args.annotations, args.names) if p]
-    manifest = _manifest_for(
-        args, ctx, "probe",
-        _single_config(
-            args, classes=classes, threshold=args.threshold,
-            letters=args.letters, include_multiword=args.include_multiword,
-            latin_min_len=args.latin_min_len,
-            annotations=args.annotations, names=args.names,
-        ),
-        _single_inputs(args) + extra_inputs,
-        {src.label: _resolve_scheme(args.scheme).to_dict()}, {},
+    manifest = _single_manifest(
+        args, ctx, "probe", src,
+        extra_inputs=[p for p in (args.annotations, args.names) if p],
+        classes=classes, threshold=args.threshold,
+        letters=args.letters, include_multiword=args.include_multiword,
+        latin_min_len=args.latin_min_len,
+        annotations=args.annotations, names=args.names,
     )
     with _outputs(args, manifest) as out:
         out.write_csv(

@@ -314,39 +314,6 @@ class Corpus:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Corpus":
-        parts = [
-            Part(
-                index=p["index"],
-                stanzas=[
-                    Stanza(
-                        index=s["index"],
-                        epigraph=s["epigraph"],
-                        fused=s["fused"],
-                        lines=[
-                            Line(
-                                text=ln["text"],
-                                terminator=ln["terminator"],
-                                char_count=ln["char_count"],
-                                word_count=ln["word_count"],
-                            )
-                            for ln in s["lines"]
-                        ],
-                    )
-                    for s in p["stanzas"]
-                ],
-            )
-            for p in data["parts"]
-        ]
-        segments = [
-            Segment(kind=seg["kind"], text=seg.get("text", ""))
-            if seg["kind"] == "raw"
-            else Segment(kind="line", ref=tuple(seg["ref"]))
-            for seg in data["segments"]
-        ]
-        return cls(source_id=data["source_id"], parts=parts, segments=segments)
-
 
 def parse_corpus(
     raw: str,

@@ -284,17 +284,17 @@ def transition_matrix(model: FourStateModel) -> np.ndarray:
 def stationary_bigram_distribution(model: FourStateModel) -> np.ndarray:
     """Stationary distribution over bigram states CC, CV, VC, VV.
 
-    Damped power iteration on (T + I) / 2 converges for periodic chains
-    too; the damping leaves the fixed points of T untouched.
+    Balance gives it in closed form: CC is left as often as it is entered
+    (pi_CC p00 = pi_VC q10), so is VV (pi_VV q11 = pi_CV p01), and CV and VC
+    occur equally often. All-zero weights mean two closed classes, so no
+    unique stationary law, and raise :class:`DomainError`.
     """
-    T = transition_matrix(model)
-    v = np.full(4, 0.25)
-    for _ in range(200_000):
-        nxt = 0.5 * (v + v @ T)
-        if np.max(np.abs(nxt - v)) <= 1e-12:
-            return nxt / nxt.sum()
-        v = nxt
-    raise DomainError("stationary distribution iteration did not converge")
+    cv = model.p00 * model.q11
+    weights = np.array([(1.0 - model.p10) * model.q11, cv, cv, model.p00 * model.p01])
+    total = weights.sum()
+    if total == 0.0:
+        raise DomainError("no unique stationary distribution: the chain has two closed classes")
+    return weights / total
 
 
 def simulate_sequence(

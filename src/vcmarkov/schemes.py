@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
+from .errors import DataError
+
 Classification = Literal["V", "C", "excluded", "unknown"]
 
 _RU_VOWELS = "аеёиоуыэюя"
@@ -160,7 +162,12 @@ def load_scheme(name_or_path: str) -> EncodingScheme:
             f"unknown scheme {name_or_path!r}: not a registry name "
             f"({', '.join(sorted(DEFAULT_SCHEMES))}) and not a readable file: {exc}"
         ) from exc
-    return EncodingScheme.from_dict(data)
+    try:
+        return EncodingScheme.from_dict(data)
+    except KeyError as exc:
+        raise DataError(f"{name_or_path}: scheme JSON has no {exc.args[0]!r} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name_or_path}: malformed scheme JSON: {exc}") from exc
 
 
 def dump_scheme(scheme: EncodingScheme, path: str) -> None:

@@ -1,16 +1,19 @@
 """Diagnostics and inference: ACF, Ljung-Box, Spearman, interaction OLS.
 
 Rank statistics use mid-ranks for ties throughout, computed in numpy.
-Spearman p-values are exact (full permutation enumeration) up to n = 10
-and use the standard t approximation above that; partial correlations
-always use the t approximation with the reduced degrees of freedom.
+Spearman p-values are exact up to n = 10, counting integer rank-product
+sums over all n! orderings, and use the standard t approximation above
+that; partial correlations always use the t approximation with the
+reduced degrees of freedom.
 scipy is imported only where a chi-squared or Student-t tail is
 evaluated, so loading this module does not load scipy.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
@@ -136,30 +139,22 @@ def _t_approx_p(rho: float, dof: int) -> float:
     return min(1.0, max(p, _TINY_P))
 
 
-def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
-    """Two-sided exact p by enumerating all orderings of one rank vector.
-
-    Counts permutations whose |rho| reaches |rho_obs| (within a 1e-12
-    cushion against float noise); the identity permutation always counts,
-    so p >= 1/n!.
+@functools.lru_cache(maxsize=64)
+def _rank_product_null(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Exact null of S = sum_i a_i * b_perm(i) as (S, count) pairs: how many
+    of the n! orderings of ``b`` give each S, by a dynamic program over
+    (mask of the ``b`` entries used so far, partial sum). Neither input's
+    order changes the null, so callers pass both sorted.
     """
-    n = rx.size
-    cx = rx - rx.mean()
-    cy = ry - ry.mean()
-    denom = np.sqrt(float(np.dot(cx, cx)) * float(np.dot(cy, cy)))
-    target = abs(rho_obs) - 1e-12
-    count = 0
-    total = 0
-    chunk_size = 131_072
-    perms = itertools.permutations(cy.tolist())
-    while True:
-        chunk = list(itertools.islice(perms, chunk_size))
-        if not chunk:
-            break
-        rhos = (np.asarray(chunk) @ cx) / denom
-        count += int(np.count_nonzero(np.abs(rhos) >= target))
-        total += len(chunk)
-    return count / total
+    layer = Counter({(0, 0): 1})
+    for ai in a:
+        nxt = Counter()
+        for (mask, s), c in layer.items():
+            for j, bj in enumerate(b):
+                if not mask >> j & 1:
+                    nxt[mask | 1 << j, s + ai * bj] += c
+        layer = nxt
+    return tuple((s, c) for (_, s), c in layer.items())
 
 
 def spearman_test(x, y) -> SpearmanResult:
@@ -180,7 +175,11 @@ def spearman_test(x, y) -> SpearmanResult:
     ry = midranks(ya)
     rho = _pearson(rx, ry)
     if n <= _EXACT_SPEARMAN_MAX_N:
-        p = _exact_permutation_p(rx, ry, rho)
+        # doubled centred mid-ranks are integers, and |rho| orders as their |S|
+        a, b = ((2 * r - (n + 1)).astype(np.int64).tolist() for r in (rx, ry))
+        s_obs = abs(sum(ai * bi for ai, bi in zip(a, b)))
+        null = _rank_product_null(tuple(sorted(a)), tuple(sorted(b)))
+        p = sum(c for s, c in null if abs(s) >= s_obs) / math.factorial(n)
         method = "exact"
     else:
         p = _t_approx_p(rho, n - 2)

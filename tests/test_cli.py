@@ -99,6 +99,20 @@ def test_profile_blocks_and_correlations(poem_file, layout_file, out_dir):
     assert {r["variable"] for r in corr} >= {"p", "p0", "p1"}
 
 
+def test_profile_ten_blocks_exact_correlations(poem_file, layout_file, out_dir):
+    # the poem encodes to 2778 symbols: ten full blocks of 270
+    rc = run_cli([
+        "profile", "--input", poem_file, "--layout", layout_file,
+        "--block-len", "270", "--no-keep-partial", "--control-set", "none",
+        "--out", out_dir,
+    ])
+    assert rc == 0
+    corr = data_rows(os.path.join(out_dir, "correlations.csv"))
+    assert corr
+    assert {r["n"] for r in corr} == {"10"}
+    assert {r["method"] for r in corr} == {"exact"}
+
+
 def test_bootstrap_outputs(poem_file, layout_file, out_dir):
     rc = run_cli([
         "bootstrap", "--input", poem_file, "--layout", layout_file,
@@ -346,6 +360,41 @@ def test_alternating_text_is_a_domain_error(tmp_path, capsys):
     ])
     assert rc == 4
     assert "error [domain]" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("I\n\n1\n\ncaf\u00e9 na ra\n".encode("latin-1"))
+    rc = run_cli(["encode", "--input", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error [data]" in err and "latin1.txt" in err
+
+
+def test_scheme_without_name_is_a_data_error(poem_file, tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"vowels": "ao", "consonants": "tm"}), encoding="utf-8")
+    rc = run_cli([
+        "encode", "--input", poem_file, "--scheme", str(scheme),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error [data]" in err and "scheme.json" in err and "'name'" in err
+
+
+def test_non_numeric_blocks_cell_is_a_data_error(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    good.write_text("block,md\n1,0.1\n2,0.2\n", encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("block,md\n1,abc\n2,0.2\n", encoding="utf-8")
+    rc = run_cli([
+        "regress", "--blocks", f"aa={good}", "--blocks", f"bb={bad}",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error [data]" in err and "bad.csv" in err
 
 
 def test_bad_label_argument_is_usage_error(tmp_path, capsys):

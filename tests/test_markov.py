@@ -326,6 +326,45 @@ def test_stationary_periodic_chain():
     assert pi == pytest.approx([0.0, 0.5, 0.5, 0.0], abs=1e-9)
 
 
+def _stationary_by_iteration(model):
+    """Damped power iteration on (T + I) / 2, which converges for periodic
+    chains too; the damping leaves the fixed points of T untouched."""
+    T = transition_matrix(model)
+    v = np.full(4, 0.25)
+    for _ in range(200_000):
+        nxt = 0.5 * (v + v @ T)
+        if np.max(np.abs(nxt - v)) <= 1e-12:
+            return nxt / nxt.sum()
+        v = nxt
+    raise AssertionError("iteration did not converge")
+
+
+def test_stationary_closed_form_matches_iteration():
+    rng = np.random.default_rng(17)
+    probs = np.vstack([rng.uniform(0.01, 0.99, (200, 4)), rng.choice([0.0, 0.5, 1.0], (40, 4))])
+    checked = 0
+    for p00, p01, p10, p11 in probs.tolist():
+        model = FourStateModel(p11=p11, p10=p10, p01=p01, p00=p00)
+        if (p00 == 0.0 and 1.0 in (p10, p11)) or (p01 == 0.0 and p11 == 1.0):
+            continue  # two closed classes: no unique law to compare
+        assert stationary_bigram_distribution(model) == pytest.approx(
+            _stationary_by_iteration(model), abs=1e-9
+        )
+        checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("p00, p01, p10, p11", [
+    (0.0, 0.5, 1.0, 0.5),  # CC absorbing, and VC always moves on to CV
+    (0.0, 0.5, 0.5, 1.0),  # CC and VV both absorbing
+    (0.5, 0.0, 0.5, 1.0),  # VV absorbing and never entered from CV
+])
+def test_stationary_without_unique_law_is_domain_error(p00, p01, p10, p11):
+    model = FourStateModel(p11=p11, p10=p10, p01=p01, p00=p00)
+    with pytest.raises(DomainError, match="stationary"):
+        stationary_bigram_distribution(model)
+
+
 # ------------------------------------------------------------ discrepancy
 
 

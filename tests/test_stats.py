@@ -7,6 +7,7 @@ force enumeration, so neither test shares code with the implementation.
 
 import itertools
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -26,6 +27,7 @@ from vcmarkov import (
 from vcmarkov.errors import DomainError
 from vcmarkov.stats import (
     COEFFICIENT_NAMES,
+    _rank_product_null,
     midranks,
     regression_rows_from_blocks,
     white_noise_band,
@@ -174,15 +176,29 @@ def _spearman_exact_oracle(x, y):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_spearman_exact_against_enumeration(seed):
     rng = np.random.default_rng(seed)
-    x = rng.integers(0, 10, 6).astype(float)  # ties likely
-    y = rng.integers(0, 10, 6).astype(float)
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
-        pytest.skip("degenerate draw")
-    res = spearman_test(x, y)
-    rho, p = _spearman_exact_oracle(x, y)
-    assert res.method == "exact"
-    assert res.rho == pytest.approx(rho, abs=1e-12)
-    assert res.p_value == pytest.approx(p, abs=1e-12)
+    for n in range(3, 9):
+        x = rng.integers(0, n, n).astype(float)
+        y = rng.integers(0, n, n).astype(float)
+        x[1] = x[0]  # ties on both sides
+        y[-1] = y[0]
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue
+        res = spearman_test(x, y)
+        rho, p = _spearman_exact_oracle(x, y)
+        assert res.method == "exact"
+        assert res.rho == pytest.approx(rho, abs=1e-12)
+        assert res.p_value == p
+
+
+def test_spearman_exact_at_ten_is_fast():
+    _rank_product_null.cache_clear()
+    positions = np.arange(1.0, 11.0)
+    start = time.perf_counter()
+    untied = spearman_test(positions, [3, 1, 4, 10, 5, 9, 2, 6, 8, 7])
+    tied = spearman_test(positions, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3])
+    assert time.perf_counter() - start < 2.0
+    assert untied.method == tied.method == "exact"
+    assert 0.0 < untied.p_value <= 1.0 and 0.0 < tied.p_value <= 1.0
 
 
 def test_spearman_t_approx_against_scipy():
