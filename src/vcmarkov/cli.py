@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .corpus import (
     line_statistics,
     load_layout,
     parse_corpus,
+    read_text_file,
 )
 from .encoding import origin_rows
 from .errors import DataError, DomainError
@@ -88,11 +90,7 @@ class RunContext:
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    return read_text_file(path, encoding="utf-8-sig")
 
 
 def _resolve_layout(path: Optional[str]) -> LayoutConfig:
@@ -451,7 +449,7 @@ def _read_profile_blocks(path: str) -> list[tuple[int, float]]:
     """Read (block, md) pairs from a blocks.csv written by `profile`."""
     import csv as _csv
 
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text_file(path, newline=""), newline="") as fh:
         rows = [line for line in fh if not line.startswith("#")]
     reader = _csv.DictReader(rows)
     if reader.fieldnames is None or not {"block", "md"} <= set(reader.fieldnames):

@@ -123,9 +123,21 @@ class LayoutConfig:
         )
 
 
+def read_text_file(path: str, *, encoding: str = "utf-8", newline: Optional[str] = None) -> str:
+    """The whole text of an input file; a file that does not decode is a
+    :class:`DataError` naming it."""
+    try:
+        with open(path, encoding=encoding, newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_layout(path: str) -> LayoutConfig:
-    with open(path, encoding="utf-8") as fh:
-        return LayoutConfig.from_dict(json.load(fh))
+    return LayoutConfig.from_dict(json.loads(read_text_file(path)))
+
+
+_HEADER_SEPARATORS = re.compile(r"[.\s]+")
 
 
 def _match_header(
@@ -140,15 +152,36 @@ def _match_header(
         if rest and not rest[0].isspace():
             return None
         rest = rest.strip()
-    tokens = [t for t in re.split(r"[.\s]+", rest) if t]
+    tokens = [t for t in _HEADER_SEPARATORS.split(rest) if t]
     if not tokens:
         return None
     if not allow_multi and len(tokens) != 1:
         return None
-    values = [_parse_numeral(t, style) for t in tokens]
-    if any(v is None for v in values):
-        return None
-    return values  # type: ignore[return-value]
+    values = []
+    for token in tokens:
+        value = _parse_numeral(token, style)
+        if value is None:
+            return None
+        values.append(value)
+    return values
+
+
+def code_points(text: str) -> np.ndarray:
+    """The code points of ``text`` as a uint32 array, one per character."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def char_lookup(codes: np.ndarray, fn: Callable[[str], int], dtype=np.uint8) -> np.ndarray:
+    """``fn(ch)`` for every code point of ``codes``, calling ``fn`` once per
+    distinct character and spreading the results with one table lookup."""
+    if codes.size == 0:
+        return np.zeros(0, dtype=dtype)
+    present = np.zeros(int(codes.max()) + 1, dtype=bool)
+    present[codes] = True
+    distinct = np.flatnonzero(present)
+    table = np.zeros(present.size, dtype=dtype)
+    table[distinct] = [fn(chr(cp)) for cp in distinct.tolist()]
+    return table[codes]
 
 
 def _is_word_char(ch: str) -> bool:
@@ -161,18 +194,8 @@ def tokenize_words(text: str) -> list[str]:
     Separators are whitespace and Unicode punctuation, so hyphenated forms
     count as two words and an apostrophe splits its clitic.
     """
-    words = []
-    start = None
-    for i, ch in enumerate(text):
-        if _is_word_char(ch):
-            if start is None:
-                start = i
-        elif start is not None:
-            words.append(text[start:i])
-            start = None
-    if start is not None:
-        words.append(text[start:])
-    return words
+    punctuation = {ord(ch): " " for ch in set(text) if unicodedata.category(ch).startswith("P")}
+    return text.translate(punctuation).split()
 
 
 def count_words(text: str) -> int:
@@ -325,17 +348,13 @@ def parse_corpus(
     """Parse raw text into a Corpus under the given layout.
 
     ``scheme`` controls per-line character counting (letters the scheme can
-    encode); without one, any Unicode letter counts. Structural violations
-    raise :class:`ParseError` with the byte offset of the offending line.
+    encode); without one, any Unicode letter counts. Character and word
+    counts come from one lookup table over the whole text, not from a call
+    per character. Structural violations raise :class:`ParseError` with
+    the byte offset of the offending line.
     """
     if raw == "":
         raise ParseError("empty input", 0)
-
-    count_char: Callable[[str], bool]
-    if scheme is not None:
-        count_char = scheme.encodable
-    else:
-        count_char = str.isalpha
 
     pieces = re.split(r"(\r\n|\r|\n)", raw)
     parts: list[Part] = []
@@ -344,6 +363,9 @@ def parse_corpus(
     current_stanza: Optional[Stanza] = None
     pending_epigraph = False
     byte_pos = 0
+    char_pos = 0
+    lines: list[Line] = []
+    line_starts: list[int] = []
 
     def close_stanza():
         nonlocal current_stanza
@@ -373,6 +395,8 @@ def parse_corpus(
         stripped = content.strip()
         offset_here = byte_pos
         byte_pos += len(content.encode("utf-8")) + len(terminator.encode("utf-8"))
+        line_start = char_pos
+        char_pos += len(content) + len(terminator)
 
         if stripped == "":
             # Blank lines delimit stanzas only when stanzas are unnumbered;
@@ -444,12 +468,9 @@ def parse_corpus(
                     "content line outside any stanza (expected a stanza header)",
                     offset_here,
                 )
-        line = Line(
-            text=content,
-            terminator=terminator,
-            char_count=sum(1 for ch in content if count_char(ch)),
-            word_count=count_words(content),
-        )
+        line = Line(text=content, terminator=terminator, char_count=0, word_count=0)
+        lines.append(line)
+        line_starts.append(line_start)
         pi = len(parts) - 1
         si = len(current_part.stanzas) - 1
         current_stanza.lines.append(line)
@@ -457,7 +478,32 @@ def parse_corpus(
 
     if not parts:
         raise ParseError("no part header found", 0)
+    _set_line_counts(
+        raw, lines, line_starts, str.isalpha if scheme is None else scheme.encodable
+    )
     return Corpus(source_id=source_id, parts=parts, segments=segments)
+
+
+def _set_line_counts(
+    raw: str, lines: list[Line], starts: list[int], count_char: Callable[[str], bool]
+) -> None:
+    """Fill in every line's ``char_count`` and ``word_count`` from one pass
+    over the whole text: running totals of counted characters and of word
+    starts, read at each line's ends. A line starts the text or follows a
+    terminator, so no word runs into it."""
+    flags = char_lookup(code_points(raw), lambda ch: count_char(ch) + 2 * _is_word_char(ch))
+    word = flags >= 2
+    word_start = word.copy()
+    word_start[1:] &= ~word[:-1]
+    chars_before = np.concatenate(([0], np.cumsum(flags & 1, dtype=np.int32)))
+    words_before = np.concatenate(([0], np.cumsum(word_start, dtype=np.int32)))
+    lo = np.asarray(starts, dtype=np.int64)
+    hi = lo + np.fromiter((len(line.text) for line in lines), dtype=np.int64, count=len(lines))
+    char_counts = (chars_before[hi] - chars_before[lo]).tolist()
+    word_counts = (words_before[hi] - words_before[lo]).tolist()
+    for line, chars, words in zip(lines, char_counts, word_counts):
+        line.char_count = chars
+        line.word_count = words
 
 
 @dataclass(frozen=True)

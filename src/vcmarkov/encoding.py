@@ -4,6 +4,11 @@ Symbols are numpy uint8: vowel = 1, consonant = 0. Each symbol remembers
 where it came from (part index, stanza index, 1-based line number, 0-based
 character offset in the line), which lets downstream pattern mining recover
 the lexical context of any window.
+
+Encoding joins the line texts into one string and classifies each distinct
+character once with the scheme; one table lookup then gives every
+character's class, and numpy reads the symbols, the origin rows and any
+unknown letters off that array.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Iterable, Literal, Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, char_lookup, code_points
 from .errors import DomainError, UnknownCharacterError
 from .schemes import EncodingScheme
 
@@ -53,8 +58,7 @@ class SymbolSequence:
         return int(self.symbols.shape[0])
 
     def to_string(self) -> str:
-        lookup = np.array(["C", "V"])
-        return "".join(lookup[self.symbols])
+        return np.frombuffer(b"CV", dtype=np.uint8)[self.symbols].tobytes().decode("ascii")
 
     @classmethod
     def from_string(cls, text: str, source_id: str = "synthetic") -> "SymbolSequence":
@@ -63,6 +67,10 @@ class SymbolSequence:
             raise ValueError(f"symbol string may only contain V and C, got {sorted(bad)!r}")
         arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
         return cls(symbols=(arr == ord("V")).astype(np.uint8), source_id=source_id)
+
+
+_CLASS_CODES = {"C": SYMBOL_C, "V": SYMBOL_V, "excluded": 2, "unknown": 3}
+_UNKNOWN = _CLASS_CODES["unknown"]
 
 
 def encode_text(
@@ -75,47 +83,49 @@ def encode_text(
     """Encode a corpus into its V/C symbol sequence.
 
     Excluded characters vanish without a trace. Unknown letters either stop
-    the run (policy "error") or are skipped with a logged count ("skip").
-    Epigraphs are left out unless asked for, so the sequence covers the poem
-    body that the block statistics describe.
+    the run at the first one in text order (policy "error") or are skipped
+    with a logged count ("skip"). Epigraphs are left out unless asked for,
+    so the sequence covers the poem body that the block statistics
+    describe.
+
+    The line texts are joined into one string whose distinct characters are
+    classified once each; symbols and origin rows are then read off that
+    lookup with numpy.
     """
     if policy not in ("error", "skip"):
         raise ValueError(f"unknown policy {policy!r}")
-    symbols: list[int] = []
-    origins: list[tuple[int, int, int, int]] = []
-    skipped: dict[str, int] = {}
-    for part_idx, stanza_idx, lineno, line in corpus.iter_lines(
-        include_epigraphs=include_epigraphs
-    ):
-        classify = scheme.classify
-        for offset, ch in enumerate(line.text):
-            cls = classify(ch)
-            if cls == "V":
-                symbols.append(SYMBOL_V)
-            elif cls == "C":
-                symbols.append(SYMBOL_C)
-            elif cls == "excluded":
-                continue
-            else:
-                if policy == "error":
-                    raise UnknownCharacterError(ch, part_idx, stanza_idx, lineno, offset)
-                skipped[ch] = skipped.get(ch, 0) + 1
-                continue
-            origins.append((part_idx, stanza_idx, lineno, offset))
-    if skipped:
-        total = sum(skipped.values())
-        sample = ", ".join(repr(c) for c in sorted(skipped)[:8])
+    lines = list(corpus.iter_lines(include_epigraphs=include_epigraphs))
+    text = "".join(line.text for _, _, _, line in lines)
+    classes = char_lookup(code_points(text), lambda ch: _CLASS_CODES[scheme.classify(ch)])
+    lengths = np.fromiter((len(line.text) for _, _, _, line in lines), np.int64, len(lines))
+    line_starts = np.cumsum(lengths) - lengths
+    locations = np.array([loc for *loc, _ in lines], dtype=np.int32).reshape(len(lines), 3)
+
+    unknown = np.flatnonzero(classes == _UNKNOWN)
+    if unknown.size and policy == "error":
+        first = int(unknown[0])
+        i = int(np.searchsorted(line_starts, first, side="right")) - 1
+        part_idx, stanza_idx, lineno = locations[i].tolist()
+        raise UnknownCharacterError(
+            text[first], part_idx, stanza_idx, lineno, first - int(line_starts[i])
+        )
+    if unknown.size:
+        sample = ", ".join(repr(c) for c in sorted({text[k] for k in unknown.tolist()})[:8])
         logger.warning(
             "skipped %d unknown character(s) while encoding %s: %s",
-            total,
+            unknown.size,
             corpus.source_id or "<corpus>",
             sample,
         )
-    return SymbolSequence(
-        symbols=np.asarray(symbols, dtype=np.uint8),
-        source_id=corpus.source_id,
-        origin=np.asarray(origins, dtype=np.int32).reshape(len(symbols), 4),
-    )
+
+    # the last line starting at or before a character holds it: empty lines
+    # share their start with the next line
+    kept = np.flatnonzero(classes <= SYMBOL_V)
+    line_of = np.searchsorted(line_starts, kept, side="right") - 1
+    origin = np.empty((kept.size, 4), dtype=np.int32)
+    origin[:, :3] = locations[line_of]
+    origin[:, 3] = kept - line_starts[line_of]
+    return SymbolSequence(symbols=classes[kept], source_id=corpus.source_id, origin=origin)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from . import __version__
 
@@ -111,6 +110,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_AS_IS = frozenset({int, str})
+
+
 class OutputSet:
     """Atomic writer for one run's output directory."""
 
@@ -120,12 +122,15 @@ class OutputSet:
         self.written: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def _write_atomic(self, name: str, content: str) -> str:
+    def _write_atomic(self, name: str, write: Callable[[TextIO], object]) -> str:
+        """Create ``name`` by calling ``write`` on a temporary file in the
+        output directory, then renaming it; the text streams to disk as it
+        is produced."""
         final = os.path.join(self.out_dir, name)
         fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(content)
+                write(fh)
             os.replace(tmp, final)
         except BaseException:
             if os.path.exists(tmp):
@@ -135,32 +140,29 @@ class OutputSet:
         return final
 
     def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-        buf = io.StringIO()
-        buf.write(f"# manifest: {self.manifest.config_hash}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        return self._write_atomic(name, buf.getvalue())
+        def write(fh: TextIO) -> None:
+            fh.write(f"# manifest: {self.manifest.config_hash}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            # csv writes int and str cells as _fmt would; bools, floats
+            # (numpy floats among them) and anything else are formatted here
+            writer.writerows([v if type(v) in _AS_IS else _fmt(v) for v in row] for row in rows)
+
+        return self._write_atomic(name, write)
 
     def write_json(self, name: str, payload: dict) -> str:
         body = {"manifest_hash": self.manifest.config_hash}
         body.update(payload)
-        return self._write_atomic(
-            name, json.dumps(body, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-        )
+        text = json.dumps(body, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        return self._write_atomic(name, lambda fh: fh.write(text))
 
     def write_text(self, name: str, text: str) -> str:
-        return self._write_atomic(
-            name, f"# manifest: {self.manifest.config_hash}\n{text}\n"
-        )
+        content = f"# manifest: {self.manifest.config_hash}\n{text}\n"
+        return self._write_atomic(name, lambda fh: fh.write(content))
 
     def write_manifest(self, name: str = "manifest.json") -> str:
-        return self._write_atomic(
-            name,
-            json.dumps(self.manifest.to_dict(), sort_keys=True, ensure_ascii=False, indent=2)
-            + "\n",
-        )
+        text = json.dumps(self.manifest.to_dict(), sort_keys=True, ensure_ascii=False, indent=2)
+        return self._write_atomic(name, lambda fh: fh.write(text + "\n"))
 
     def discard_all(self) -> None:
         for path in self.written:

@@ -11,16 +11,29 @@ non-letter characters trimmed from its ends. Characters that were
 excluded from the encoding, hard and soft signs and apostrophes among
 them, reappear inside the context because the context is cut from the
 raw line.
+
+Scanning works on whole columns rather than one match at a time: the
+lines the matches touch are joined into one text, token bounds come from
+numpy searches over its whitespace positions, and each distinct letter
+trigram and each distinct context span becomes a string once. Strings
+are lower-cased one by one after they are cut, never as a whole text,
+because lower-casing can change a string's length ('İ' becomes two code
+points) and would shift every offset after it. Ranking, trend and
+category tables group matches by their distinct values and count blocks
+with ``np.bincount``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import Corpus, tokenize_words
+from .corpus import Corpus, char_lookup, code_points, read_text_file, tokenize_words
 from .encoding import BlockSegmentation, SymbolSequence
 from .errors import DomainError
 from .stats import SpearmanResult, spearman_test
@@ -65,17 +78,6 @@ def _class_code(vc_class: str) -> int:
     return code
 
 
-def _expand_span(text: str, lo: int, hi: int) -> str:
-    """Substring around [lo, hi] bounded by the nearest whitespace."""
-    start = lo
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
-    end = hi + 1
-    while end < len(text) and not text[end].isspace():
-        end += 1
-    return text[start:end]
-
-
 def _trim_nonletters(s: str) -> str:
     start = 0
     end = len(s)
@@ -84,6 +86,11 @@ def _trim_nonletters(s: str) -> str:
     while end > start and not s[end - 1].isalpha():
         end -= 1
     return s[start:end]
+
+
+_PATTERNS = tuple(
+    "".join("V" if (code >> (2 - j)) & 1 else "C" for j in range(3)) for code in range(8)
+)
 
 
 def scan_pattern_class(
@@ -99,6 +106,12 @@ def scan_pattern_class(
     ``block_index`` comes from the segmentation (or -1 without one, and -1
     for windows outside its coverage). ``single_word`` is true when all
     three letters sit inside one whitespace-delimited token.
+
+    Every field is computed for all windows at once: the lines the
+    sequence passes through are joined with newlines, each letter's token
+    bounds come from the whitespace positions of that text, and each
+    letter trigram and each context string is built once per distinct
+    value.
     """
     if seq.origin is None:
         raise DomainError("probe scanning needs a sequence with an origin map")
@@ -110,64 +123,94 @@ def scan_pattern_class(
     if n < 3:
         return []
     codes = (x[: n - 2].astype(np.int64) << 2) | (x[1 : n - 1].astype(np.int64) << 1) | x[2:]
-    hits = np.nonzero(np.isin(codes, sorted(wanted)))[0]
-    origin = seq.origin
-    matches: list[ProbeMatch] = []
-    line_cache: dict[tuple[int, int, int], str] = {}
+    hits = np.flatnonzero(np.isin(codes, sorted(wanted)))
+    if hits.size == 0:
+        return []
 
-    def line_text(part: int, stanza: int, lineno: int) -> str:
-        key = (part, stanza, lineno)
-        text = line_cache.get(key)
-        if text is None:
-            text = corpus.stanza_at(part, stanza).lines[lineno - 1].text
-            line_cache[key] = text
-        return text
+    # one run per line the sequence passes through, in text order
+    where = seq.origin[:, :3]
+    new_line = np.ones(n, dtype=bool)
+    new_line[1:] = np.any(where[1:] != where[:-1], axis=1)
+    run = np.cumsum(new_line, dtype=np.int32) - 1
+    texts = [
+        corpus.stanza_at(part, stanza).lines[lineno - 1].text
+        for part, stanza, lineno in where[new_line].tolist()
+    ]
+    # newlines between the lines end every token at its line's end
+    joined = "\n".join(texts)
+    strides = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1
+    run_start = np.cumsum(strides) - strides
 
-    for pos in hits.tolist():
-        rows = [tuple(int(v) for v in origin[pos + j]) for j in range(3)]
-        letters = "".join(
-            line_text(p, s, ln)[off] for (p, s, ln, off) in rows
+    window = hits[:, None] + np.arange(3)
+    runs = run[window]
+    char_at = run_start[runs] + seq.origin[window, 3]
+    del run, window
+    chars = code_points(joined)
+    spaces = np.concatenate(
+        ([-1], np.flatnonzero(char_lookup(chars, str.isspace, dtype=bool)), [len(joined)])
+    )
+    # a letter's token runs from after the last whitespace before it to the
+    # first whitespace after it
+    before = np.searchsorted(spaces, char_at, side="left")
+    after = np.searchsorted(spaces, char_at, side="right")
+    same_line = runs[:, 1:] == runs[:, :-1]
+    single_word = same_line.all(axis=1) & (after[:, 2] == before[:, 0])
+
+    # the context joins one span per line the window touches, from the
+    # token start of its first letter there to the token end of its last
+    first = spaces[before - 1] + 1
+    last = spaces[after]
+    first[:, 1] = np.where(same_line[:, 0], first[:, 0], first[:, 1])
+    first[:, 2] = np.where(same_line[:, 1], first[:, 1], first[:, 2])
+    last[:, 1] = np.where(same_line[:, 1], last[:, 2], last[:, 1])
+    last[:, 0] = np.where(same_line[:, 0], last[:, 1], last[:, 0])
+    stride = len(joined) + 1
+    spans, span_index = np.unique(first * stride + last, return_inverse=True)
+    span_text = [joined[a:b] for a, b in zip(*np.divmod(spans, stride))]
+    span_index = span_index.reshape(-1, 3)
+    del first, last, before, after
+
+    def finish(context: str) -> str:
+        context = _trim_nonletters(context)
+        return context.lower() if fold_case else context
+
+    contexts = np.array([finish(text) for text in span_text], dtype=object)[span_index[:, 0]]
+    for k in np.flatnonzero(span_index[:, 0] != span_index[:, 2]).tolist():
+        line_spans = dict.fromkeys(span_index[k].tolist())
+        contexts[k] = finish(" ".join(span_text[i] for i in line_spans))
+
+    # code points are below 2**21, so three of them pack into one int64
+    cps = chars[char_at].astype(np.int64)
+    trigrams, trigram_index = np.unique(
+        (cps[:, 0] << 42) | (cps[:, 1] << 21) | cps[:, 2], return_inverse=True
+    )
+    letters = [
+        chr(t >> 42) + chr((t >> 21) & 0x1FFFFF) + chr(t & 0x1FFFFF) for t in trigrams.tolist()
+    ]
+    if fold_case:
+        letters = [s.lower() for s in letters]
+
+    if segmentation is None:
+        blocks = np.full(hits.size, -1)
+    else:
+        blocks = np.where(
+            hits < segmentation.covered,
+            np.minimum(hits // segmentation.block_len, len(segmentation) - 1),
+            -1,
         )
-        if fold_case:
-            letters = letters.lower()
-        # consecutive letters on one line share a context span
-        groups: list[list[tuple[int, int, int, int]]] = []
-        for row in rows:
-            if groups and groups[-1][-1][:3] == row[:3]:
-                groups[-1].append(row)
-            else:
-                groups.append([row])
-        spans = []
-        for group in groups:
-            text = line_text(group[0][0], group[0][1], group[0][2])
-            offsets = [r[3] for r in group]
-            spans.append(_expand_span(text, min(offsets), max(offsets)))
-        context = _trim_nonletters(" ".join(spans))
-        if fold_case:
-            context = context.lower()
-        single_word = False
-        if len(groups) == 1:
-            text = line_text(rows[0][0], rows[0][1], rows[0][2])
-            lo, hi = rows[0][3], rows[2][3]
-            single_word = not any(text[i].isspace() for i in range(lo, hi + 1))
-        matches.append(
-            ProbeMatch(
-                letters=letters,
-                vc_class=_pattern3(codes[pos]),
-                context=context,
-                part_index=rows[0][0],
-                stanza_index=rows[0][1],
-                line_number=rows[0][2],
-                single_word=single_word,
-                block_index=segmentation.block_of(pos) if segmentation else -1,
-                position=pos,
-            )
-        )
-    return matches
-
-
-def _pattern3(code: int) -> str:
-    return "".join("V" if (int(code) >> (2 - j)) & 1 else "C" for j in range(3))
+    part, stanza, lineno = where[hits].T.tolist()
+    return list(map(
+        ProbeMatch,
+        [letters[i] for i in trigram_index.tolist()],
+        [_PATTERNS[c] for c in codes[hits].tolist()],
+        contexts.tolist(),
+        part,
+        stanza,
+        lineno,
+        single_word.tolist(),
+        blocks.tolist(),
+        hits.tolist(),
+    ))
 
 
 @dataclass(frozen=True)
@@ -176,6 +219,27 @@ class TrigramRank:
     count: int
     share: float
     zipf_rank: int
+
+
+def _factorize(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct values, and the index of each value among them."""
+    distinct = sorted(set(values))
+    position = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(position.__getitem__, values), np.intp, len(values))
+
+
+def _block_counts(
+    groups: np.ndarray, blocks: np.ndarray, n_groups: int, n_blocks: int
+) -> np.ndarray:
+    """(n_groups, n_blocks) table counting each (group, block) pair; a
+    negative block (outside the segmentation) is not counted."""
+    inside = blocks >= 0
+    flat = np.bincount(groups[inside] * n_blocks + blocks[inside], minlength=n_groups * n_blocks)
+    return flat.reshape(n_groups, n_blocks).astype(float)
+
+
+def _block_indices(matches: Sequence[ProbeMatch]) -> np.ndarray:
+    return np.fromiter((m.block_index for m in matches), np.intp, len(matches))
 
 
 def rank_letter_trigrams(matches: Sequence[ProbeMatch]) -> list[TrigramRank]:
@@ -187,14 +251,15 @@ def rank_letter_trigrams(matches: Sequence[ProbeMatch]) -> list[TrigramRank]:
     """
     if not matches:
         raise ValueError("rank_letter_trigrams needs at least one match")
-    counts: dict[str, int] = {}
-    for m in matches:
-        counts[m.letters] = counts.get(m.letters, 0) + 1
+    letters, index = _factorize([m.letters for m in matches])
+    counts = np.bincount(index, minlength=len(letters))
     total = len(matches)
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    # the distinct letters are sorted, so a stable sort keeps ties lexicographic
+    order = np.argsort(-counts, kind="stable").tolist()
+    counts = counts.tolist()
     return [
-        TrigramRank(letters=k, count=v, share=v / total, zipf_rank=i + 1)
-        for i, (k, v) in enumerate(ordered)
+        TrigramRank(letters=letters[i], count=counts[i], share=counts[i] / total, zipf_rank=r + 1)
+        for r, i in enumerate(order)
     ]
 
 
@@ -239,34 +304,29 @@ def trigram_trend_table(
     if not matches:
         return []
     ranks = {r.letters: r for r in rank_letter_trigrams(matches)}
-    windows = _window_counts(segmentation)
-    positions = np.arange(1, len(segmentation) + 1, dtype=float)
-    by_letters: dict[str, list[ProbeMatch]] = {}
-    for m in matches:
-        by_letters.setdefault(m.letters, []).append(m)
+    n_blocks = len(segmentation)
+    letters, index = _factorize([m.letters for m in matches])
+    series = _block_counts(index, _block_indices(matches), len(letters), n_blocks)
+    series /= _window_counts(segmentation)
+    first = np.unique(index, return_index=True)[1].tolist()
+    positions = np.arange(1, n_blocks + 1, dtype=float)
     candidates = []
-    for letters in sorted(by_letters):
-        group = by_letters[letters]
-        counts = np.zeros(len(segmentation))
-        for m in group:
-            if m.block_index >= 0:
-                counts[m.block_index] += 1
-        series = counts / windows
-        if np.all(series == series[0]):
-            continue
-        result = spearman_test(positions, series)
+    # a constant series carries no trend
+    for i in np.flatnonzero(np.any(series != series[:, :1], axis=1)).tolist():
+        result = spearman_test(positions, series[i])
         if result.p_value >= threshold:
             continue
         direction = "increasing" if result.rho > 0 else "decreasing"
-        kind = pattern_kind(group[0].vc_class)
+        vc_class = matches[first[i]].vc_class
+        kind = pattern_kind(vc_class)
         aligned = (kind == "persistent" and direction == "increasing") or (
             kind == "alternating" and direction == "decreasing"
         )
-        rank = ranks[letters]
+        rank = ranks[letters[i]]
         candidates.append(
             ProbeCandidate(
-                letters=letters,
-                vc_class=group[0].vc_class,
+                letters=letters[i],
+                vc_class=vc_class,
                 pattern_kind=kind,
                 direction=direction,
                 spearman_rho=result.rho,
@@ -274,7 +334,7 @@ def trigram_trend_table(
                 zipf_rank=rank.zipf_rank,
                 share=rank.share,
                 md_aligned=aligned,
-                series=tuple(float(v) for v in series),
+                series=tuple(series[i].tolist()),
             )
         )
     candidates.sort(key=lambda c: (c.spearman_p, c.letters))
@@ -292,11 +352,9 @@ def load_annotation_csv(path: str) -> tuple[dict[str, str], dict[str, str]]:
     Returns (annotations, categories): context key to lemma, and form key
     (lemma or context) to category for rows that carry one.
     """
-    import csv
-
     annotations: dict[str, str] = {}
     categories: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text_file(path, newline=""), newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "context" not in reader.fieldnames:
             raise ValueError(f"{path}: expected a header with a 'context' column")
@@ -317,10 +375,8 @@ def load_annotation_csv(path: str) -> tuple[dict[str, str], dict[str, str]]:
 
 def load_name_forms_csv(path: str) -> dict[str, set[str]]:
     """Read a (character, form) CSV into per-character surface-form sets."""
-    import csv
-
     forms: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text_file(path, newline=""), newline="") as fh:
         reader = csv.DictReader(fh)
         needed = {"character", "form"}
         if reader.fieldnames is None or not needed <= set(reader.fieldnames):
@@ -371,41 +427,37 @@ def categorize_matches(
     """
     ann = {context_key(k): v for k, v in annotations.items()}
     cat = {str(k).casefold(): v for k, v in categories.items()}
-    labeled: list[LabeledMatch] = []
-    for m in matches:
-        key = context_key(m.context)
+    contexts, index = _factorize([m.context for m in matches])
+    lemmas = []
+    labels = []
+    for context in contexts:
+        key = context_key(context)
         lemma = ann.get(key)
+        lemmas.append(lemma)
         if lemma is None:
-            labeled.append(LabeledMatch(match=m, lemma=None, category=UNANNOTATED))
-            continue
-        category = cat.get(lemma.casefold(), cat.get(key))
-        labeled.append(
-            LabeledMatch(match=m, lemma=lemma, category=category or UNCATEGORIZED)
-        )
-
-    counts: dict[str, int] = {}
-    for lm in labeled:
-        counts[lm.category] = counts.get(lm.category, 0) + 1
+            labels.append(UNANNOTATED)
+        else:
+            labels.append(cat.get(lemma.casefold(), cat.get(key)) or UNCATEGORIZED)
+    at = index.tolist()
+    match_labels = [labels[i] for i in at]
+    labeled = list(map(LabeledMatch, matches, [lemmas[i] for i in at], match_labels))
+    counts = dict(Counter(match_labels))
 
     n_blocks = len(segmentation)
     windows = _window_counts(segmentation)
     positions = np.arange(1, n_blocks + 1, dtype=float)
-
-    def block_series(items: Iterable[LabeledMatch]) -> np.ndarray:
-        raw = np.zeros(n_blocks)
-        for lm in items:
-            if lm.match.block_index >= 0:
-                raw[lm.match.block_index] += 1
-        return raw / windows
-
     real_categories = sorted(set(counts) - {UNANNOTATED, UNCATEGORIZED})
-    series: dict[str, np.ndarray] = {}
-    for label in real_categories:
-        series[label] = block_series(lm for lm in labeled if lm.category == label)
-    series["union"] = block_series(
-        lm for lm in labeled if lm.category not in (UNANNOTATED, UNCATEGORIZED)
+    # one row per real category, then one for the unannotated and uncategorized
+    row_of = {label: r for r, label in enumerate(real_categories)}
+    rows = np.array([row_of.get(label, len(real_categories)) for label in labels], np.intp)
+    raw = _block_counts(
+        rows[index], _block_indices(matches), len(real_categories) + 1, n_blocks
     )
-    series["all"] = block_series(labeled)
+    series: dict[str, np.ndarray] = {
+        label: raw[r] / windows for r, label in enumerate(real_categories)
+    }
+    series["union"] = raw[:-1].sum(axis=0) / windows
+    series["all"] = raw.sum(axis=0) / windows
 
     tests: dict[str, TrendTest] = {}
     for label, values in series.items():
@@ -467,12 +519,17 @@ def name_cooccurrence(
     else:
         thematic = set(thematic_categories)
 
+    # a stanza's lines are tokenized together: the newlines between them
+    # separate words as the line ends did
+    stanza_lines: dict[tuple[int, int], list[str]] = {}
+    for pi, si, _, line in corpus.iter_lines(include_epigraphs=include_epigraphs):
+        stanza_lines.setdefault((pi, si), []).append(line.text)
     mentions: dict[tuple[int, int], int] = {}
     total_mentions = 0
-    for pi, si, _, line in corpus.iter_lines(include_epigraphs=include_epigraphs):
-        hits = sum(1 for w in tokenize_words(line.text) if w.casefold() in all_forms)
+    for key, texts in stanza_lines.items():
+        hits = sum(1 for w in tokenize_words("\n".join(texts)) if w.casefold() in all_forms)
         if hits:
-            mentions[(pi, si)] = mentions.get((pi, si), 0) + hits
+            mentions[key] = hits
             total_mentions += hits
 
     probe_counts: dict[tuple[int, int], int] = {}

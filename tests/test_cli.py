@@ -371,6 +371,37 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
     assert "error [data]" in err and "latin1.txt" in err
 
 
+def _latin1_file(path, text):
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["layout", "blocks", "annotations", "names"])
+def test_non_utf8_side_file_is_a_data_error(case, poem_file, layout_file, tmp_path, capsys):
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("context,lemma,category\nстарик,старик,theme\n", encoding="utf-8")
+    probe = ["probe", "--input", poem_file, "--layout", layout_file, "--block-len", "400"]
+    if case == "layout":
+        bad = _latin1_file(tmp_path / "bad.json", '{"part_prefix": "caf\u00e9"}')
+        argv = ["encode", "--input", poem_file, "--layout", bad]
+    elif case == "blocks":
+        good_csv.write_text("block,md\n1,0.1\n2,0.2\n", encoding="utf-8")
+        bad = _latin1_file(tmp_path / "bad.csv", "block,md\n1,0.1\n2,0.2\n# caf\u00e9\n")
+        argv = ["regress", "--blocks", f"aa={good_csv}", "--blocks", f"bb={bad}"]
+    elif case == "annotations":
+        bad = _latin1_file(tmp_path / "bad.csv", "context,lemma,category\ncaf\u00e9,x,y\n")
+        argv = probe + ["--annotations", bad]
+    else:
+        bad = _latin1_file(tmp_path / "bad.csv", "character,form\nHero,caf\u00e9\n")
+        argv = probe + ["--annotations", str(good_csv), "--names", bad]
+    out = tmp_path / "o"
+    rc = run_cli(argv + ["--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error [data]" in err and os.path.basename(bad) in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_scheme_without_name_is_a_data_error(poem_file, tmp_path, capsys):
     scheme = tmp_path / "scheme.json"
     scheme.write_text(json.dumps({"vowels": "ao", "consonants": "tm"}), encoding="utf-8")
