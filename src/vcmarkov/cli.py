@@ -20,7 +20,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .corpus import (
     LayoutConfig,
@@ -47,6 +50,7 @@ from .pipeline import (
 )
 from .probes import (
     ALTERNATING_CLASSES,
+    PATTERNS,
     PERSISTENT_CLASSES,
     categorize_matches,
     load_annotation_csv,
@@ -297,9 +301,7 @@ def cmd_profile(args, ctx: RunContext) -> None:
     corr_rows = None
     n_controls = 1 if args.control_set == "block" else 0
     if len(src.segmentation) >= 3 + n_controls:
-        corr_rows = md_parameter_correlations(
-            src, which_cf=args.which_cf, control_set=args.control_set
-        )
+        corr_rows = md_parameter_correlations(rows, control_set=args.control_set)
     else:
         print(
             f"warning: only {len(src.segmentation)} blocks; "
@@ -581,36 +583,34 @@ def cmd_probe(args, ctx: RunContext) -> None:
     matches = scan_pattern_class(
         src.sequence, src.corpus, classes, segmentation=src.segmentation
     )
-    class_counts: dict[str, int] = {c: 0 for c in classes}
-    for m in matches:
-        class_counts[m.vc_class] += 1
+    class_counts = dict(zip(PATTERNS, np.bincount(matches.vc_class, minlength=8).tolist()))
     candidates = None
-    if matches and len(src.segmentation) >= 3:
+    if len(matches) and len(src.segmentation) >= 3:
         candidates = trigram_trend_table(
             matches, src.segmentation, threshold=args.threshold
         )
-    elif matches:
+    elif len(matches):
         print("warning: fewer than 3 blocks; skipping trend table", file=sys.stderr)
     token_report = extract_latin_tokens(
         src.corpus, min_len=args.latin_min_len,
         include_epigraphs=args.include_epigraphs,
     )
-    selected = matches
+    keep = np.ones(len(matches), dtype=bool)
     if args.letters:
-        selected = [m for m in matches if m.letters == args.letters]
+        keep &= (matches.trigrams == args.letters)[matches.letter]
     if not args.include_multiword:
-        selected = [m for m in selected if m.single_word]
+        keep &= matches.single_word
     category_report = None
     cooccurrence = None
     if args.annotations:
         annotations, categories = load_annotation_csv(args.annotations)
         category_report = categorize_matches(
-            selected, annotations, categories, src.segmentation
+            matches.select(keep), annotations, categories, src.segmentation
         )
         if args.names:
             name_forms = load_name_forms_csv(args.names)
             cooccurrence = name_cooccurrence(
-                category_report.labeled, src.corpus, name_forms,
+                category_report, src.corpus, name_forms,
                 include_epigraphs=args.include_epigraphs,
             )
     manifest = _single_manifest(
@@ -625,18 +625,19 @@ def cmd_probe(args, ctx: RunContext) -> None:
         out.write_csv(
             "class_totals.csv",
             ("source", "vc_class", "count"),
-            [(src.label, c, class_counts[c]) for c in sorted(class_counts)],
+            [(src.label, c, class_counts[c]) for c in sorted(set(classes))],
         )
         out.write_csv(
             "matches.csv",
             ("source", "letters", "vc_class", "context", "part", "stanza", "line",
              "single_word", "block", "position"),
-            [(src.label, m.letters, m.vc_class, m.context, m.part_index,
-              m.stanza_index, m.line_number, m.single_word,
-              m.block_index + 1 if m.block_index >= 0 else 0, m.position)
-             for m in matches],
+            zip(repeat(src.label), matches.trigrams[matches.letter].tolist(),
+                PATTERNS[matches.vc_class].tolist(), matches.context.tolist(),
+                matches.part.tolist(), matches.stanza.tolist(), matches.line.tolist(),
+                matches.single_word.tolist(), (matches.block + 1).tolist(),
+                matches.position.tolist()),
         )
-        if matches:
+        if len(matches):
             out.write_csv(
                 "trigram_ranks.csv",
                 ("source", "letters", "count", "share", "zipf_rank"),
@@ -686,15 +687,16 @@ def cmd_probe(args, ctx: RunContext) -> None:
                 ("source", "category", "rho", "p_value", "n_blocks", "method", "note"),
                 trend_rows,
             )
+            labeled = category_report.matches
             out.write_csv(
                 "labeled_matches.csv",
                 ("source", "letters", "context", "lemma", "category", "part",
                  "stanza", "line", "block"),
-                [(src.label, lm.match.letters, lm.match.context, lm.lemma or "",
-                  lm.category, lm.match.part_index, lm.match.stanza_index,
-                  lm.match.line_number,
-                  lm.match.block_index + 1 if lm.match.block_index >= 0 else 0)
-                 for lm in category_report.labeled],
+                zip(repeat(src.label), labeled.trigrams[labeled.letter].tolist(),
+                    labeled.context.tolist(), category_report.lemma.tolist(),
+                    category_report.category.tolist(), labeled.part.tolist(),
+                    labeled.stanza.tolist(), labeled.line.tolist(),
+                    (labeled.block + 1).tolist()),
             )
         if cooccurrence is not None:
             corr = cooccurrence.correlation

@@ -47,22 +47,6 @@ def parse_roman(token: str) -> Optional[int]:
     return total
 
 
-def format_roman(value: int) -> str:
-    if value <= 0 or value > 3999:
-        raise ValueError(f"roman numerals cover 1..3999, got {value}")
-    pairs = [
-        (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"),
-        (100, "C"), (90, "XC"), (50, "L"), (40, "XL"),
-        (10, "X"), (9, "IX"), (5, "V"), (4, "IV"), (1, "I"),
-    ]
-    out = []
-    for val, sym in pairs:
-        while value >= val:
-            out.append(sym)
-            value -= val
-    return "".join(out)
-
-
 def _parse_numeral(token: str, style: NumeralStyle) -> Optional[int]:
     if style == "roman":
         return parse_roman(token)
@@ -134,7 +118,11 @@ def read_text_file(path: str, *, encoding: str = "utf-8", newline: Optional[str]
 
 
 def load_layout(path: str) -> LayoutConfig:
-    return LayoutConfig.from_dict(json.loads(read_text_file(path)))
+    try:
+        data = json.loads(read_text_file(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    return LayoutConfig.from_dict(data)
 
 
 _HEADER_SEPARATORS = re.compile(r"[.\s]+")
@@ -198,11 +186,6 @@ def tokenize_words(text: str) -> list[str]:
     return text.translate(punctuation).split()
 
 
-def count_words(text: str) -> int:
-    """Number of words under the :func:`tokenize_words` convention."""
-    return len(tokenize_words(text))
-
-
 _PLACEHOLDER_CHARS = set(". …·\t ")
 
 
@@ -221,6 +204,10 @@ class Line:
 
 @dataclass
 class Stanza:
+    """A stanza's lines. ``index`` is the number on its header (the first
+    one for a fused stanza); epigraphs, which have none, count 0, -1, -2,
+    ... in order within their part, so an index is unique in its part."""
+
     index: int
     lines: list[Line] = field(default_factory=list)
     epigraph: bool = False
@@ -269,8 +256,9 @@ class Corpus:
     ) -> Iterator[tuple[int, int, int, Line]]:
         """Yield (part_index, stanza_index, line_number, line) in text order.
 
-        Indices are the numbering carried by the headers; line numbers are
-        1-based within their stanza.
+        Indices are the numbering carried by the headers (see
+        :class:`Stanza` for epigraphs); line numbers are 1-based within
+        their stanza.
         """
         for part in self.parts:
             for stanza in part.stanzas:
@@ -291,10 +279,7 @@ class Corpus:
     def _stanza_map(self) -> dict[tuple[int, int], Stanza]:
         cached = getattr(self, "_stanza_map_cache", None)
         if cached is None:
-            cached = {}
-            for part in self.parts:
-                for stanza in part.stanzas:
-                    cached.setdefault((part.index, stanza.index), stanza)
+            cached = {(p.index, s.index): s for p in self.parts for s in p.stanzas}
             self._stanza_map_cache = cached
         return cached
 
@@ -459,7 +444,8 @@ def parse_corpus(
             raise ParseError("text before any part header", offset_here)
         if current_stanza is None:
             if pending_epigraph:
-                open_stanza(0, epigraph=True)
+                # epigraphs count down from 0, so each index is unique in its part
+                open_stanza(-sum(s.epigraph for s in current_part.stanzas), epigraph=True)
                 pending_epigraph = False
             elif layout.stanza_numerals is None:
                 open_stanza(last_numbered_index() + 1)
@@ -562,23 +548,18 @@ class AlignedCorpus:
     unmatched: list[tuple[StanzaRef, str]]
 
 
-def _stanza_keys(corpus: Corpus) -> list[tuple[tuple[int, int, int], StanzaRef]]:
-    keys = []
-    seen: dict[tuple[int, int], int] = {}
-    for part in corpus.parts:
-        for stanza in part.stanzas:
-            base = (part.index, stanza.index)
-            occurrence = seen.get(base, 0)
-            seen[base] = occurrence + 1
-            ref = StanzaRef(corpus.source_id, part.index, stanza.index)
-            keys.append(((part.index, stanza.index, occurrence), ref))
-    return keys
+def _stanza_keys(corpus: Corpus) -> list[tuple[tuple[int, int], StanzaRef]]:
+    return [
+        ((part.index, stanza.index), StanzaRef(corpus.source_id, part.index, stanza.index))
+        for part in corpus.parts
+        for stanza in part.stanzas
+    ]
 
 
 def align_corpora(reference: Corpus, other: Corpus) -> AlignedCorpus:
     """Pair stanzas across two corpora by (part index, stanza index).
 
-    Repeated indices within a part (several epigraphs) are paired in order
+    Several epigraphs in one part (indices 0, -1, ...) are paired in order
     of appearance. Every stanza of both corpora lands in exactly one of
     ``pairs`` or ``unmatched``.
     """

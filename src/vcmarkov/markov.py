@@ -270,17 +270,6 @@ def sequence_report(
     return dispersion_report(two, four, n=x.size, which_cf=which_cf)
 
 
-def transition_matrix(model: FourStateModel) -> np.ndarray:
-    """Row-stochastic 4x4 matrix of the bigram-state chain."""
-    T = np.zeros((4, 4))
-    pvec = model.as_vector()
-    for state in range(4):
-        pv = pvec[state]
-        T[state, ((state & 1) << 1) | 1] = pv
-        T[state, ((state & 1) << 1) | 0] = 1.0 - pv
-    return T
-
-
 def stationary_bigram_distribution(model: FourStateModel) -> np.ndarray:
     """Stationary distribution over bigram states CC, CV, VC, VV.
 

@@ -101,42 +101,27 @@ def profile_rows(source: LoadedSource, which_cf: WhichCF = "complex") -> list[tu
 CORRELATION_VARIABLES = ("p", "p0", "p1", "q00", "p11")
 
 
-def md_parameter_correlations(
-    source: LoadedSource,
-    which_cf: WhichCF = "complex",
-    control_set: str = "block",
-) -> list[tuple]:
+def md_parameter_correlations(rows: Sequence[tuple], control_set: str = "block") -> list[tuple]:
     """Partial Spearman of MD against each model parameter across blocks.
 
-    ``control_set`` "block" partials out the block position; "none" uses
-    plain correlations. Rows: (source, variable, rho, p_value, n, method,
-    controls).
+    ``rows`` are the per-block rows of :func:`profile_rows`, so no block is
+    fitted twice. ``control_set`` "block" partials out the block position;
+    "none" uses plain correlations. Rows: (source, variable, rho, p_value,
+    n, method, controls).
     """
     if control_set not in ("block", "none"):
         raise ValueError(f"control_set must be 'block' or 'none', got {control_set!r}")
-    mds = []
-    columns: dict[str, list[float]] = {v: [] for v in CORRELATION_VARIABLES}
-    for b in range(len(source.segmentation)):
-        x = source.segmentation.slice(source.sequence, b)
-        two, four = fit_sequence(x)
-        rep = dispersion_report(two, four, n=x.size, which_cf=which_cf)
-        mds.append(rep.md)
-        columns["p"].append(two.p)
-        columns["p0"].append(two.p0)
-        columns["p1"].append(two.p1)
-        columns["q00"].append(four.q00)
-        columns["p11"].append(four.p11)
-    blocks = list(range(1, len(mds) + 1))
-    controls = [blocks] if control_set == "block" else []
+    columns = {name: list(values) for name, values in zip(PROFILE_COLUMNS, zip(*rows))}
+    controls = [columns["block"]] if control_set == "block" else []
     names = ["block"] if control_set == "block" else None
-    rows = []
+    out = []
     for var in CORRELATION_VARIABLES:
-        res = partial_spearman(columns[var], mds, controls, names=names)
-        rows.append((
-            source.label, var, res.rho, res.p_value, res.n, res.method,
+        res = partial_spearman(columns[var], columns["md"], controls, names=names)
+        out.append((
+            columns["source"][0], var, res.rho, res.p_value, res.n, res.method,
             ";".join(res.controlled_for),
         ))
-    return rows
+    return out
 
 
 @dataclass

@@ -12,15 +12,16 @@ excluded from the encoding, hard and soft signs and apostrophes among
 them, reappear inside the context because the context is cut from the
 raw line.
 
-Scanning works on whole columns rather than one match at a time: the
-lines the matches touch are joined into one text, token bounds come from
-numpy searches over its whitespace positions, and each distinct letter
-trigram and each distinct context span becomes a string once. Strings
-are lower-cased one by one after they are cut, never as a whole text,
-because lower-casing can change a string's length ('İ' becomes two code
-points) and would shift every offset after it. Ranking, trend and
-category tables group matches by their distinct values and count blocks
-with ``np.bincount``.
+A scan returns one :class:`MatchTable`: a numpy column per field, one
+row per match, and no Python object per match. The lines the matches
+touch are joined into one text, token bounds come from numpy searches
+over its whitespace positions, and each distinct letter trigram and each
+distinct context span becomes a string once. Strings are lower-cased
+one by one after they are cut, never as a whole text, because
+lower-casing can change a string's length ('İ' becomes two code points)
+and would shift every offset after it. Ranking, trend, category and
+co-occurrence tables read the columns directly: they group matches by
+their trigram or context index and count blocks with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -48,21 +49,37 @@ UNANNOTATED = "unannotated"
 UNCATEGORIZED = "uncategorized"
 
 
-@dataclass(frozen=True)
-class ProbeMatch:
-    letters: str
-    vc_class: str
-    context: str
-    part_index: int
-    stanza_index: int
-    line_number: int
-    single_word: bool
-    block_index: int
-    position: int
+@dataclass(frozen=True, eq=False)
+class MatchTable:
+    """The matches of a scan as columns, one row per match in position order.
 
-    @property
-    def location(self) -> tuple[int, int, int]:
-        return (self.part_index, self.stanza_index, self.line_number)
+    ``trigrams`` holds the sorted distinct lower-cased letter trigrams and
+    ``letter`` each match's index into them. ``vc_class`` is the class
+    code (three bits, V = 1, the first letter highest; :data:`PATTERNS`
+    names it). ``part``, ``stanza`` and ``line`` locate the window's first
+    letter, ``single_word`` tells whether its three letters sit in one
+    whitespace-delimited token, ``block`` is its block in the segmentation
+    (-1 outside it, or without one) and ``position`` its first symbol.
+    """
+
+    trigrams: np.ndarray
+    letter: np.ndarray
+    vc_class: np.ndarray
+    context: np.ndarray
+    part: np.ndarray
+    stanza: np.ndarray
+    line: np.ndarray
+    single_word: np.ndarray
+    block: np.ndarray
+    position: np.ndarray
+
+    def __len__(self) -> int:
+        return self.position.size
+
+    def select(self, rows: np.ndarray) -> "MatchTable":
+        """The matches a boolean mask or an index array picks; the trigram
+        list stays whole, so a trigram may have no match left."""
+        return MatchTable(self.trigrams, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
 
 def pattern_kind(vc_class: str) -> str:
@@ -88,8 +105,10 @@ def _trim_nonletters(s: str) -> str:
     return s[start:end]
 
 
-_PATTERNS = tuple(
-    "".join("V" if (code >> (2 - j)) & 1 else "C" for j in range(3)) for code in range(8)
+# the name of each class code, as an array that columns of codes index
+PATTERNS = np.array(
+    ["".join("V" if (code >> (2 - j)) & 1 else "C" for j in range(3)) for code in range(8)],
+    dtype=object,
 )
 
 
@@ -99,37 +118,25 @@ def scan_pattern_class(
     classes: Iterable[str],
     *,
     segmentation: Optional[BlockSegmentation] = None,
-    fold_case: bool = True,
-) -> list[ProbeMatch]:
-    """One ProbeMatch per overlapping trigram window whose class is wanted.
+) -> MatchTable:
+    """Every overlapping trigram window whose class is wanted, as one table.
 
-    ``block_index`` comes from the segmentation (or -1 without one, and -1
-    for windows outside its coverage). ``single_word`` is true when all
-    three letters sit inside one whitespace-delimited token.
-
-    Every field is computed for all windows at once: the lines the
+    Every column is computed for all windows at once: the lines the
     sequence passes through are joined with newlines, each letter's token
     bounds come from the whitespace positions of that text, and each
-    letter trigram and each context string is built once per distinct
-    value.
+    letter trigram and each context string is built and lower-cased once
+    per distinct value.
     """
     if seq.origin is None:
         raise DomainError("probe scanning needs a sequence with an origin map")
-    wanted = {_class_code(c) for c in classes}
-    if not wanted:
-        return []
-    x = seq.symbols
-    n = x.size
-    if n < 3:
-        return []
-    codes = (x[: n - 2].astype(np.int64) << 2) | (x[1 : n - 1].astype(np.int64) << 1) | x[2:]
-    hits = np.flatnonzero(np.isin(codes, sorted(wanted)))
-    if hits.size == 0:
-        return []
+    wanted = sorted({_class_code(c) for c in classes})
+    x = seq.symbols.astype(np.int64)
+    codes = (x[:-2] << 2) | (x[1:-1] << 1) | x[2:]
+    hits = np.flatnonzero(np.isin(codes, wanted))
 
     # one run per line the sequence passes through, in text order
     where = seq.origin[:, :3]
-    new_line = np.ones(n, dtype=bool)
+    new_line = np.ones(x.size, dtype=bool)
     new_line[1:] = np.any(where[1:] != where[:-1], axis=1)
     run = np.cumsum(new_line, dtype=np.int32) - 1
     texts = [
@@ -171,8 +178,7 @@ def scan_pattern_class(
     del first, last, before, after
 
     def finish(context: str) -> str:
-        context = _trim_nonletters(context)
-        return context.lower() if fold_case else context
+        return _trim_nonletters(context).lower()
 
     contexts = np.array([finish(text) for text in span_text], dtype=object)[span_index[:, 0]]
     for k in np.flatnonzero(span_index[:, 0] != span_index[:, 2]).tolist():
@@ -181,14 +187,14 @@ def scan_pattern_class(
 
     # code points are below 2**21, so three of them pack into one int64
     cps = chars[char_at].astype(np.int64)
-    trigrams, trigram_index = np.unique(
+    packed, packed_index = np.unique(
         (cps[:, 0] << 42) | (cps[:, 1] << 21) | cps[:, 2], return_inverse=True
     )
-    letters = [
-        chr(t >> 42) + chr((t >> 21) & 0x1FFFFF) + chr(t & 0x1FFFFF) for t in trigrams.tolist()
-    ]
-    if fold_case:
-        letters = [s.lower() for s in letters]
+    # trigrams that differ only in case lower to one string
+    trigrams, lowered_index = np.unique(np.array([
+        (chr(t >> 42) + chr((t >> 21) & 0x1FFFFF) + chr(t & 0x1FFFFF)).lower()
+        for t in packed.tolist()
+    ], dtype=object), return_inverse=True)
 
     if segmentation is None:
         blocks = np.full(hits.size, -1)
@@ -198,19 +204,10 @@ def scan_pattern_class(
             np.minimum(hits // segmentation.block_len, len(segmentation) - 1),
             -1,
         )
-    part, stanza, lineno = where[hits].T.tolist()
-    return list(map(
-        ProbeMatch,
-        [letters[i] for i in trigram_index.tolist()],
-        [_PATTERNS[c] for c in codes[hits].tolist()],
-        contexts.tolist(),
-        part,
-        stanza,
-        lineno,
-        single_word.tolist(),
-        blocks.tolist(),
-        hits.tolist(),
-    ))
+    return MatchTable(
+        trigrams, lowered_index[packed_index], codes[hits], contexts, *where[hits].T,
+        single_word, blocks, hits,
+    )
 
 
 @dataclass(frozen=True)
@@ -219,13 +216,6 @@ class TrigramRank:
     count: int
     share: float
     zipf_rank: int
-
-
-def _factorize(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct values, and the index of each value among them."""
-    distinct = sorted(set(values))
-    position = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.fromiter(map(position.__getitem__, values), np.intp, len(values))
 
 
 def _block_counts(
@@ -238,27 +228,25 @@ def _block_counts(
     return flat.reshape(n_groups, n_blocks).astype(float)
 
 
-def _block_indices(matches: Sequence[ProbeMatch]) -> np.ndarray:
-    return np.fromiter((m.block_index for m in matches), np.intp, len(matches))
-
-
-def rank_letter_trigrams(matches: Sequence[ProbeMatch]) -> list[TrigramRank]:
+def rank_letter_trigrams(matches: MatchTable) -> list[TrigramRank]:
     """Frequency table of letter trigrams over the scanned match family.
 
     Shares divide by the total number of matches passed in; ranks are
     positional after sorting by descending count with lexicographic
-    tie-breaking.
+    tie-breaking. Trigrams without a match are left out.
     """
-    if not matches:
+    if not len(matches):
         raise ValueError("rank_letter_trigrams needs at least one match")
-    letters, index = _factorize([m.letters for m in matches])
-    counts = np.bincount(index, minlength=len(letters))
+    counts = np.bincount(matches.letter, minlength=len(matches.trigrams))
+    present = np.flatnonzero(counts)
+    # the trigrams are sorted, so a stable sort keeps ties lexicographic
+    order = present[np.argsort(-counts[present], kind="stable")].tolist()
     total = len(matches)
-    # the distinct letters are sorted, so a stable sort keeps ties lexicographic
-    order = np.argsort(-counts, kind="stable").tolist()
     counts = counts.tolist()
     return [
-        TrigramRank(letters=letters[i], count=counts[i], share=counts[i] / total, zipf_rank=r + 1)
+        TrigramRank(
+            letters=matches.trigrams[i], count=counts[i], share=counts[i] / total, zipf_rank=r + 1
+        )
         for r, i in enumerate(order)
     ]
 
@@ -284,7 +272,7 @@ def _window_counts(segmentation: BlockSegmentation, order: int = 3) -> np.ndarra
 
 
 def trigram_trend_table(
-    matches: Sequence[ProbeMatch],
+    matches: MatchTable,
     segmentation: BlockSegmentation,
     *,
     threshold: float = 0.05,
@@ -301,14 +289,15 @@ def trigram_trend_table(
     """
     if len(segmentation) < 3:
         raise ValueError("trend testing needs at least 3 blocks")
-    if not matches:
+    if not len(matches):
         return []
     ranks = {r.letters: r for r in rank_letter_trigrams(matches)}
     n_blocks = len(segmentation)
-    letters, index = _factorize([m.letters for m in matches])
-    series = _block_counts(index, _block_indices(matches), len(letters), n_blocks)
+    series = _block_counts(matches.letter, matches.block, len(matches.trigrams), n_blocks)
     series /= _window_counts(segmentation)
-    first = np.unique(index, return_index=True)[1].tolist()
+    # a trigram takes the class of its first match
+    present, first = np.unique(matches.letter, return_index=True)
+    first_class = dict(zip(present.tolist(), PATTERNS[matches.vc_class[first]].tolist()))
     positions = np.arange(1, n_blocks + 1, dtype=float)
     candidates = []
     # a constant series carries no trend
@@ -317,15 +306,16 @@ def trigram_trend_table(
         if result.p_value >= threshold:
             continue
         direction = "increasing" if result.rho > 0 else "decreasing"
-        vc_class = matches[first[i]].vc_class
+        letters = matches.trigrams[i]
+        vc_class = first_class[i]
         kind = pattern_kind(vc_class)
         aligned = (kind == "persistent" and direction == "increasing") or (
             kind == "alternating" and direction == "decreasing"
         )
-        rank = ranks[letters[i]]
+        rank = ranks[letters]
         candidates.append(
             ProbeCandidate(
-                letters=letters[i],
+                letters=letters,
                 vc_class=vc_class,
                 pattern_kind=kind,
                 direction=direction,
@@ -390,13 +380,6 @@ def load_name_forms_csv(path: str) -> dict[str, set[str]]:
 
 
 @dataclass(frozen=True)
-class LabeledMatch:
-    match: ProbeMatch
-    lemma: Optional[str]
-    category: str
-
-
-@dataclass(frozen=True)
 class TrendTest:
     result: Optional[SpearmanResult]
     note: Optional[str] = None
@@ -404,14 +387,19 @@ class TrendTest:
 
 @dataclass
 class CategoryReport:
-    labeled: list[LabeledMatch]
+    """The labeled matches: ``lemma`` and ``category`` are columns over
+    the rows of ``matches`` (lemma "" for an unannotated context)."""
+
+    matches: MatchTable
+    lemma: np.ndarray
+    category: np.ndarray
     counts: dict[str, int]
     series: dict[str, np.ndarray]
     tests: dict[str, TrendTest]
 
 
 def categorize_matches(
-    matches: Sequence[ProbeMatch],
+    matches: MatchTable,
     annotations: Mapping[str, str],
     categories: Mapping[str, str],
     segmentation: BlockSegmentation,
@@ -427,21 +415,20 @@ def categorize_matches(
     """
     ann = {context_key(k): v for k, v in annotations.items()}
     cat = {str(k).casefold(): v for k, v in categories.items()}
-    contexts, index = _factorize([m.context for m in matches])
+    contexts, index = np.unique(matches.context, return_inverse=True)
     lemmas = []
     labels = []
-    for context in contexts:
+    for context in contexts.tolist():
         key = context_key(context)
         lemma = ann.get(key)
-        lemmas.append(lemma)
         if lemma is None:
+            lemmas.append("")
             labels.append(UNANNOTATED)
         else:
+            lemmas.append(lemma)
             labels.append(cat.get(lemma.casefold(), cat.get(key)) or UNCATEGORIZED)
-    at = index.tolist()
-    match_labels = [labels[i] for i in at]
-    labeled = list(map(LabeledMatch, matches, [lemmas[i] for i in at], match_labels))
-    counts = dict(Counter(match_labels))
+    match_labels = np.array(labels, dtype=object)[index]
+    counts = dict(Counter(match_labels.tolist()))
 
     n_blocks = len(segmentation)
     windows = _window_counts(segmentation)
@@ -450,9 +437,7 @@ def categorize_matches(
     # one row per real category, then one for the unannotated and uncategorized
     row_of = {label: r for r, label in enumerate(real_categories)}
     rows = np.array([row_of.get(label, len(real_categories)) for label in labels], np.intp)
-    raw = _block_counts(
-        rows[index], _block_indices(matches), len(real_categories) + 1, n_blocks
-    )
+    raw = _block_counts(rows[index], matches.block, len(real_categories) + 1, n_blocks)
     series: dict[str, np.ndarray] = {
         label: raw[r] / windows for r, label in enumerate(real_categories)
     }
@@ -465,7 +450,10 @@ def categorize_matches(
             tests[label] = TrendTest(result=spearman_test(positions, values))
         except (DomainError, ValueError) as exc:
             tests[label] = TrendTest(result=None, note=str(exc))
-    return CategoryReport(labeled=labeled, counts=counts, series=series, tests=tests)
+    return CategoryReport(
+        matches=matches, lemma=np.array(lemmas, dtype=object)[index],
+        category=match_labels, counts=counts, series=series, tests=tests,
+    )
 
 
 @dataclass(frozen=True)
@@ -486,19 +474,19 @@ class CooccurrenceReport:
 
 
 def name_cooccurrence(
-    labeled_matches: Sequence[LabeledMatch],
+    report: CategoryReport,
     corpus: Corpus,
     name_forms: Union[Mapping[str, Iterable[str]], Sequence[Iterable[str]]],
     *,
-    thematic_categories: Optional[Iterable[str]] = None,
     include_epigraphs: bool = False,
 ) -> CooccurrenceReport:
     """Relate probe locations to character-name mentions, stanza by stanza.
 
     Name mentions are case-folded whole-word hits of any supplied surface
-    form. The correlation is computed over stanzas holding at least one
-    probe match; when it cannot be computed (fewer than 3 such stanzas, or
-    a constant side) the report says why instead of failing.
+    form. Thematic matches are the labeled matches that carry a real
+    category. The correlation is computed over stanzas holding at least
+    one probe match; when it cannot be computed (fewer than 3 such
+    stanzas, or a constant side) the report says why instead of failing.
     """
     if isinstance(name_forms, Mapping):
         form_sets = list(name_forms.values())
@@ -509,15 +497,6 @@ def name_cooccurrence(
         all_forms.update(str(f).casefold() for f in fs)
     if not all_forms:
         raise ValueError("name_forms is empty: no surface forms to look for")
-
-    if thematic_categories is None:
-        thematic = {
-            lm.category
-            for lm in labeled_matches
-            if lm.category not in (UNANNOTATED, UNCATEGORIZED)
-        }
-    else:
-        thematic = set(thematic_categories)
 
     # a stanza's lines are tokenized together: the newlines between them
     # separate words as the line ends did
@@ -532,17 +511,20 @@ def name_cooccurrence(
             mentions[key] = hits
             total_mentions += hits
 
-    probe_counts: dict[tuple[int, int], int] = {}
-    thematic_counts: dict[tuple[int, int], int] = {}
-    for lm in labeled_matches:
-        key = (lm.match.part_index, lm.match.stanza_index)
-        probe_counts[key] = probe_counts.get(key, 0) + 1
-        if lm.category in thematic:
-            thematic_counts[key] = thematic_counts.get(key, 0) + 1
-
-    probe_stanzas = sorted(probe_counts)
+    # one key per (part, stanza), in their sort order; epigraph stanzas
+    # have indices down from 0
+    matches = report.matches
+    low = matches.stanza.min(initial=0)
+    stride = matches.stanza.max(initial=0) - low + 1
+    keys, stanza_of = np.unique(
+        matches.part.astype(np.int64) * stride + (matches.stanza - low), return_inverse=True
+    )
+    parts, stanzas = np.divmod(keys, stride)
+    probe_stanzas = list(zip(parts.tolist(), (stanzas + low).tolist()))
+    thematic = (report.category != UNANNOTATED) & (report.category != UNCATEGORIZED)
+    thematic_counts = np.bincount(stanza_of[thematic], minlength=len(keys))
     mentions_in_probe = sum(mentions.get(k, 0) for k in probe_stanzas)
-    n_thematic_stanzas = sum(1 for k in probe_stanzas if thematic_counts.get(k, 0) > 0)
+    n_thematic_stanzas = int(np.count_nonzero(thematic_counts))
 
     correlation: Optional[SpearmanResult] = None
     note: Optional[str] = None
@@ -550,9 +532,8 @@ def name_cooccurrence(
         note = f"only {len(probe_stanzas)} probe-bearing stanzas; need at least 3"
     else:
         x = [mentions.get(k, 0) for k in probe_stanzas]
-        y = [thematic_counts.get(k, 0) for k in probe_stanzas]
         try:
-            correlation = spearman_test(x, y)
+            correlation = spearman_test(x, thematic_counts.tolist())
         except DomainError as exc:
             note = str(exc)
 
@@ -569,5 +550,5 @@ def name_cooccurrence(
         ),
         correlation=correlation,
         correlation_note=note,
-        thematic_categories=tuple(sorted(thematic)),
+        thematic_categories=tuple(sorted(set(report.counts) - {UNANNOTATED, UNCATEGORIZED})),
     )

@@ -12,7 +12,23 @@ import numpy as np
 import pytest
 
 from vcmarkov import FourStateModel, LayoutConfig, RUSSIAN, parse_corpus
-from vcmarkov.corpus import format_roman
+
+def format_roman(value: int) -> str:
+    """Roman numeral of 1..3999, the inverse of ``corpus.parse_roman``."""
+    if value <= 0 or value > 3999:
+        raise ValueError(f"roman numerals cover 1..3999, got {value}")
+    pairs = [
+        (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"),
+        (100, "C"), (90, "XC"), (50, "L"), (40, "XL"),
+        (10, "X"), (9, "IX"), (5, "V"), (4, "IV"), (1, "I"),
+    ]
+    out = []
+    for val, sym in pairs:
+        while value >= val:
+            out.append(sym)
+            value -= val
+    return "".join(out)
+
 
 _VOWELS = "аеиоуы"
 _CONSONANTS = "бвгдклмнпрст"

@@ -36,8 +36,9 @@ from vcmarkov.pipeline import (
     blocks_by_label,
     load_source,
     md_parameter_correlations,
+    profile_rows,
 )
-from vcmarkov.probes import categorize_matches, load_annotation_csv
+from vcmarkov.probes import PATTERNS, categorize_matches, load_annotation_csv
 from vcmarkov.resample import derived_rng, make_surrogate, mbb_replicate
 from vcmarkov.stats import (
     autocorrelation,
@@ -228,7 +229,8 @@ def pipeline():
         )
     correlations = {
         label: {
-            row[1]: row for row in md_parameter_correlations(src, control_set="block")
+            row[1]: row
+            for row in md_parameter_correlations(profile_rows(src), control_set="block")
         }
         for label, src in sources.items()
     }
@@ -291,9 +293,8 @@ TRIGRAM_CLASS_TOTALS = {
 
 @pytest.mark.parametrize("label", ("ru", "it"))
 def test_corpus_trigram_class_counts(pipeline, label):
-    counts = {cls: 0 for cls in TRIGRAM_CLASS_TOTALS[label]}
-    for m in pipeline.matches[label]:
-        counts[m.vc_class] += 1
+    totals = np.bincount(pipeline.matches[label].vc_class, minlength=8)
+    counts = dict(zip(PATTERNS, totals.tolist()))
     for cls, expected in TRIGRAM_CLASS_TOTALS[label].items():
         assert abs(counts[cls] - expected) <= 0.01 * expected, (cls, counts[cls])
 
@@ -319,10 +320,8 @@ def test_corpus_encounter_category(pipeline):
     if not os.path.exists(ann):
         pytest.skip("annotations.csv missing from VCMARKOV_CORPUS_DIR")
     annotations, categories = load_annotation_csv(ann)
-    selected = [
-        m for m in pipeline.matches["ru"]
-        if m.letters == "вст" and m.single_word
-    ]
+    matches = pipeline.matches["ru"]
+    selected = matches.select((matches.trigrams == "вст")[matches.letter] & matches.single_word)
     report = categorize_matches(
         selected, annotations, categories, pipeline.ru.segmentation
     )
@@ -332,7 +331,7 @@ def test_corpus_encounter_category(pipeline):
     assert report.counts.get("emotion") == 55
     assert real == 84
     assert sum(report.counts.values()) == 111
-    p = report.tests["encounter"].spearman_p
+    p = report.tests["encounter"].result.p_value
     assert 2.1e-5 <= p <= 2.1e-3
 
 

@@ -402,6 +402,51 @@ def test_non_utf8_side_file_is_a_data_error(case, poem_file, layout_file, tmp_pa
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_layout_that_is_not_json_is_a_data_error(poem_file, tmp_path, capsys):
+    layout = tmp_path / "broken_layout.json"
+    layout.write_text('{"part_numerals": "roman" "stanza_numerals": "arabic"}', encoding="utf-8")
+    rc = run_cli([
+        "encode", "--input", poem_file, "--layout", str(layout), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error [data]" in err and "broken_layout.json" in err and "not valid JSON" in err
+
+
+def test_probe_tells_two_epigraphs_of_a_part_apart(tmp_path):
+    text = (
+        "I\n\n@epigraph\nда\n\n@epigraph\nстарик в лесу\nпоёт хор\n\n"
+        "1\n\nвстал и вышел прочь\nсмотрит у окна\n"
+    )
+    (tmp_path / "text.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "layout.json").write_text('{"stanza_numerals": "arabic"}', encoding="utf-8")
+    (tmp_path / "ann.csv").write_text(
+        "context,lemma,category\nстарик в лесу,лес,nature\n", encoding="utf-8"
+    )
+    (tmp_path / "names.csv").write_text("character,form\nOld,старик\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli([
+        "probe", "--input", str(tmp_path / "text.txt"),
+        "--layout", str(tmp_path / "layout.json"), "--block-len", "5",
+        "--include-epigraphs", "--include-multiword", "--annotations", str(tmp_path / "ann.csv"),
+        "--names", str(tmp_path / "names.csv"), "--out", str(out),
+    ]) == 0
+    rows = data_rows(out / "matches.csv")
+    # the first epigraph is stanza 0, the second -1
+    by_letters = {(r["letters"], r["stanza"], r["line"]): r["context"] for r in rows}
+    assert by_letters[("квл", "-1", "1")] == "старик в лесу"
+    assert by_letters[("тхо", "-1", "2")] == "поёт хор"
+    assert {r["stanza"] for r in rows} == {"-1", "1"}
+    labeled = data_rows(out / "labeled_matches.csv")
+    assert {(r["stanza"], r["category"]) for r in labeled if r["lemma"]} == {("-1", "nature")}
+    with open(out / "cooccurrence.json", encoding="utf-8") as fh:
+        cooccurrence = json.load(fh)
+    # the name sits in the second epigraph, one of the two probe stanzas
+    assert cooccurrence["n_probe_stanzas"] == 2
+    assert cooccurrence["mentions_in_probe_stanzas"] == 1
+    assert cooccurrence["n_probe_stanzas_thematic"] == 1
+
+
 def test_scheme_without_name_is_a_data_error(poem_file, tmp_path, capsys):
     scheme = tmp_path / "scheme.json"
     scheme.write_text(json.dumps({"vowels": "ao", "consonants": "tm"}), encoding="utf-8")

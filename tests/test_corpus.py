@@ -4,9 +4,7 @@ import pytest
 
 from vcmarkov import LayoutConfig, RUSSIAN, align_corpora, parse_corpus
 from vcmarkov.corpus import (
-    count_words,
     extract_latin_tokens,
-    format_roman,
     line_statistics,
     load_layout,
     parse_roman,
@@ -14,7 +12,7 @@ from vcmarkov.corpus import (
 )
 from vcmarkov.errors import ParseError
 
-from conftest import NUMBERED_LAYOUT, build_poem
+from conftest import NUMBERED_LAYOUT, build_poem, format_roman
 
 
 # ------------------------------------------------------------ roman numerals
@@ -46,6 +44,23 @@ def test_tokenize_words_strips_punctuation():
     assert tokenize_words("Мой дядя, самых честных!") == [
         "Мой", "дядя", "самых", "честных"
     ]
+
+
+def count_words(text: str) -> int:
+    """Number of words under the :func:`tokenize_words` convention: the
+    oracle for the word totals ``parse_corpus`` keeps per line."""
+    return len(tokenize_words(text))
+
+
+def test_line_word_counts_match_count_words(poem_corpus):
+    extra = parse_corpus(
+        "I\n\nall'antica, кто-нибудь — да!\n«Мой дядя» самых… честных\n\n\tи тут .\n",
+        LayoutConfig(), source_id="w",
+    )
+    for corpus in (poem_corpus, extra):
+        for *_, line in corpus.iter_lines(include_epigraphs=True):
+            assert line.word_count == count_words(line.text)
+    assert [line.word_count for *_, line in extra.iter_lines()] == [5, 4, 2]
 
 
 def test_count_words_hyphen_and_apostrophe():

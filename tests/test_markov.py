@@ -20,9 +20,19 @@ from vcmarkov.markov import (
     fit_sequence,
     sequence_report,
     stationary_bigram_distribution,
-    transition_matrix,
     trigram_discrepancy,
 )
+
+
+def transition_matrix(model: FourStateModel) -> np.ndarray:
+    """Row-stochastic 4x4 matrix of the bigram-state chain."""
+    T = np.zeros((4, 4))
+    pvec = model.as_vector()
+    for state in range(4):
+        pv = pvec[state]
+        T[state, ((state & 1) << 1) | 1] = pv
+        T[state, ((state & 1) << 1) | 0] = 1.0 - pv
+    return T
 
 
 def seq_of(s: str) -> SymbolSequence:

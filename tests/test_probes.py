@@ -11,7 +11,6 @@ from vcmarkov.probes import (
     PERSISTENT_CLASSES,
     UNANNOTATED,
     UNCATEGORIZED,
-    ProbeMatch,
     categorize_matches,
     context_key,
     load_annotation_csv,
@@ -23,15 +22,18 @@ from vcmarkov.probes import (
     trigram_trend_table,
 )
 
+from textpath_oracle import Match, records, table
+
 
 def corpus_of(body: str):
     return parse_corpus("I\n\n" + body + "\n", LayoutConfig(), source_id="t")
 
 
 def scan(body: str, classes, **kw):
+    """The scan's matches as records, every column read."""
     corpus = corpus_of(body)
     seq = encode_text(corpus, RUSSIAN)
-    return scan_pattern_class(seq, corpus, classes, **kw)
+    return records(scan_pattern_class(seq, corpus, classes, **kw))
 
 
 # ------------------------------------------------------------ scanning
@@ -93,11 +95,17 @@ def test_scan_block_index():
     corpus = corpus_of("старик в лесу стоит давно")
     seq = encode_text(corpus, RUSSIAN)
     seg = segment_blocks(len(seq), 5, keep_partial=True, min_partial=1)
-    matches = scan_pattern_class(seq, corpus, ["CCV"], segmentation=seg)
+    matches = records(scan_pattern_class(seq, corpus, ["CCV"], segmentation=seg))
     for m in matches:
         assert m.block_index == seg.block_of(m.position)
-    plain = scan_pattern_class(seq, corpus, ["CCV"])
+    plain = records(scan_pattern_class(seq, corpus, ["CCV"]))
     assert all(m.block_index == -1 for m in plain)
+
+
+def test_scan_without_hits_is_an_empty_table():
+    assert scan("старик", ["VVV"]) == []
+    assert scan("старик", []) == []
+    assert scan("да", ["CCV"]) == []
 
 
 def test_scan_requires_origin():
@@ -128,7 +136,7 @@ def test_pattern_kind():
 
 
 def _match(letters, vc_class="CCV", block=0, context=None, single=True):
-    return ProbeMatch(
+    return Match(
         letters=letters,
         vc_class=vc_class,
         context=context if context is not None else letters + "xx",
@@ -143,22 +151,33 @@ def _match(letters, vc_class="CCV", block=0, context=None, single=True):
 
 def test_rank_letter_trigrams():
     matches = [_match("ста")] * 5 + [_match("при")] * 3 + [_match("вст")] * 2
-    ranks = rank_letter_trigrams(matches)
+    ranks = rank_letter_trigrams(table(matches))
     assert [(r.letters, r.count, r.zipf_rank) for r in ranks] == [
         ("ста", 5, 1), ("при", 3, 2), ("вст", 2, 3)
     ]
     assert ranks[0].share == pytest.approx(0.5)
 
 
+def test_select_keeps_the_trigram_list():
+    matches = [_match("ста", block=0), _match("при", block=1), _match("ста", block=2)]
+    full = table(matches)
+    by_mask = full.select(full.block != 1)
+    assert records(by_mask) == [matches[0], matches[2]]
+    assert list(by_mask.trigrams) == ["при", "ста"]
+    assert records(full.select([2, 0])) == [matches[2], matches[0]]
+    # a trigram left without matches drops out of the ranking
+    assert [r.letters for r in rank_letter_trigrams(by_mask)] == ["ста"]
+
+
 def test_rank_ties_break_lexicographically():
     matches = [_match("ббб")] * 2 + [_match("ааа")] * 2
-    ranks = rank_letter_trigrams(matches)
+    ranks = rank_letter_trigrams(table(matches))
     assert [(r.letters, r.zipf_rank) for r in ranks] == [("ааа", 1), ("ббб", 2)]
 
 
 def test_rank_empty_rejected():
     with pytest.raises(ValueError):
-        rank_letter_trigrams([])
+        rank_letter_trigrams(table([]))
 
 
 # ------------------------------------------------------------ trend table
@@ -173,7 +192,7 @@ def _fabricated(counts_by_letters, vc_class_by_letters, block_len=100, n_blocks=
                     _match(letters, vc_class=vc_class_by_letters[letters], block=b)
                 )
     seg = segment_blocks(block_len * n_blocks, block_len)
-    return matches, seg
+    return table(matches), seg
 
 
 def test_trend_table_detects_monotone_trends():
@@ -287,7 +306,10 @@ def test_categorize_matches_conservation():
     ]
     annotations = {"встал": "встать", "на встречу": "встреча", "вставка": "вставка"}
     categories = {"встать": "encounter", "встреча": "encounter"}
-    report = categorize_matches(matches, annotations, categories, seg)
+    report = categorize_matches(table(matches), annotations, categories, seg)
+    assert records(report.matches) == matches
+    assert report.lemma.tolist() == ["встать", "встреча", "вставка", ""]
+    assert report.category.tolist() == ["encounter", "encounter", UNCATEGORIZED, UNANNOTATED]
     assert sum(report.counts.values()) == 4
     assert report.counts["encounter"] == 2
     assert report.counts[UNCATEGORIZED] == 1
@@ -302,7 +324,7 @@ def test_categorize_matches_conservation():
 def test_categorize_matches_unannotated_only():
     seg = segment_blocks(300, 100)
     matches = [_match("вст", block=0, context="что-то")]
-    report = categorize_matches(matches, {}, {}, seg)
+    report = categorize_matches(table(matches), {}, {}, seg)
     assert report.counts == {UNANNOTATED: 1}
     assert set(report.series) == {"union", "all"}
 
@@ -329,9 +351,9 @@ def _name_fixture():
     seq = encode_text(corpus, RUSSIAN)
     seg = segment_blocks(len(seq), 30, keep_partial=True, min_partial=1)
     matches = scan_pattern_class(seq, corpus, ["CCC"], segmentation=seg)
-    vst = [m for m in matches if m.letters == "вст"]
-    assert vst, "fixture must contain вст matches"
-    annotations = {m.context: "встреча" for m in vst}
+    vst = matches.select(matches.trigrams[matches.letter] == "вст")
+    assert len(vst), "fixture must contain вст matches"
+    annotations = {context: "встреча" for context in vst.context}
     categories = {"встреча": "encounter"}
     report = categorize_matches(vst, annotations, categories, seg)
     return corpus, report
@@ -340,7 +362,7 @@ def _name_fixture():
 def test_name_cooccurrence_counts():
     corpus, report = _name_fixture()
     forms = {"Onegin": {"онегин"}, "Tatyana": {"татьяна"}}
-    res = name_cooccurrence(report.labeled, corpus, forms)
+    res = name_cooccurrence(report, corpus, forms)
     assert res.total_name_mentions == 3
     # вст matches sit in stanzas 1, 2, and 4; stanzas 1 and 4 have names
     assert res.n_probe_stanzas == 3
@@ -353,7 +375,7 @@ def test_name_cooccurrence_counts():
 def test_name_cooccurrence_correlation_note_for_few_stanzas():
     corpus, report = _name_fixture()
     forms = {"Onegin": {"онегин"}}
-    res = name_cooccurrence(report.labeled, corpus, forms)
+    res = name_cooccurrence(report, corpus, forms)
     # three probe stanzas is the minimum; constant series may still bail out
     assert (res.correlation is not None) or res.correlation_note
 
@@ -361,4 +383,4 @@ def test_name_cooccurrence_correlation_note_for_few_stanzas():
 def test_name_cooccurrence_requires_forms():
     corpus, report = _name_fixture()
     with pytest.raises(ValueError):
-        name_cooccurrence(report.labeled, corpus, {})
+        name_cooccurrence(report, corpus, {})

@@ -187,17 +187,17 @@ def test_encode_skip_policy_matches_oracle(seed, scheme, include_epigraphs, capl
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scheme", [RUSSIAN, CASED], ids=["ru", "cased"])
-@pytest.mark.parametrize("fold_case", [True, False])
-def test_scan_matches_oracle(seed, scheme, fold_case):
+def test_scan_matches_oracle(seed, scheme):
     corpus = _corpus(seed, scheme)
     seq = encode_text(corpus, scheme, "skip", include_epigraphs=seed % 2 == 0)
     classes = ["VVV", "CCC", "VVC", "CCV", "VCV", "CVC"]
     for segmentation in (None, segment_blocks(seq, 17, min_partial=5)):
-        kw = dict(segmentation=segmentation, fold_case=fold_case)
-        new = scan_pattern_class(seq, corpus, classes, **kw)
-        old = oracle.scan_pattern_class(seq, corpus, classes, **kw)
-        assert new == old
-    spanning = [m for m in new if " " in m.context and not m.single_word]
+        new = scan_pattern_class(seq, corpus, classes, segmentation=segmentation)
+        old = oracle.scan_pattern_class(seq, corpus, classes, segmentation=segmentation)
+        assert oracle.records(new) == old
+        # the trigram list is sorted, distinct, and every entry has a match
+        assert list(new.trigrams) == sorted({m.letters for m in old})
+    spanning = [m for m in old if " " in m.context and not m.single_word]
     assert spanning, "the poem should hold windows that cross a word or line"
 
 
@@ -207,7 +207,7 @@ def test_scan_lowers_each_string_not_the_text():
     corpus = parse_corpus("I\n\nİБа ма\nİİ да\n", LayoutConfig(), scheme=CASED)
     seq = encode_text(corpus, CASED)
     classes = ["VCV", "CVV", "VVC", "VVV", "CVC"]
-    new = scan_pattern_class(seq, corpus, classes)
+    new = oracle.records(scan_pattern_class(seq, corpus, classes))
     assert new == oracle.scan_pattern_class(seq, corpus, classes)
     assert any(len(m.letters) == 4 for m in new)
 

@@ -3,24 +3,65 @@
 These are the straightforward one-call-per-character (and one object per
 match) versions of tokenizing, line counting, encoding and probe scanning.
 The package computes the same things with whole-text numpy passes; the
-tests compare the two field by field.
+tests compare the two field by field. :class:`Match` is the oracle's
+record of one match, and :func:`records` and :func:`table` convert
+between those records and the package's columnar match table.
 """
 
 from __future__ import annotations
 
 import logging
 import unicodedata
-from typing import Iterable, Optional
+from dataclasses import astuple, dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from vcmarkov.corpus import Corpus
 from vcmarkov.encoding import SYMBOL_C, SYMBOL_V, BlockSegmentation, SymbolSequence
 from vcmarkov.errors import DomainError, UnknownCharacterError
-from vcmarkov.probes import ProbeMatch, _class_code
+from vcmarkov.probes import PATTERNS, MatchTable, _class_code
 from vcmarkov.schemes import EncodingScheme
 
 logger = logging.getLogger("vcmarkov.encoding")
+
+
+@dataclass(frozen=True)
+class Match:
+    letters: str
+    vc_class: str
+    context: str
+    part_index: int
+    stanza_index: int
+    line_number: int
+    single_word: bool
+    block_index: int
+    position: int
+
+
+def records(matches: MatchTable) -> list[Match]:
+    """One record per row of a match table, every column read."""
+    return [
+        Match(*row)
+        for row in zip(
+            matches.trigrams[matches.letter].tolist(), PATTERNS[matches.vc_class].tolist(),
+            matches.context.tolist(), matches.part.tolist(), matches.stanza.tolist(),
+            matches.line.tolist(), matches.single_word.tolist(), matches.block.tolist(),
+            matches.position.tolist(),
+        )
+    ]
+
+
+def table(matches: Sequence[Match]) -> MatchTable:
+    """The match table holding these records, trigrams sorted as a scan
+    sorts them."""
+    columns = list(zip(*map(astuple, matches))) or [()] * 9
+    trigrams, letter = np.unique(np.array(columns[0], dtype=object), return_inverse=True)
+    return MatchTable(
+        trigrams, letter, np.array([_class_code(c) for c in columns[1]], dtype=np.int64),
+        np.array(columns[2], dtype=object),
+        *(np.array(c, dtype=t) for c, t in zip(columns[3:], (int, int, int, bool, int, int))),
+    )
 
 
 def is_word_char(ch: str) -> bool:
@@ -124,8 +165,7 @@ def scan_pattern_class(
     classes: Iterable[str],
     *,
     segmentation: Optional[BlockSegmentation] = None,
-    fold_case: bool = True,
-) -> list[ProbeMatch]:
+) -> list[Match]:
     if seq.origin is None:
         raise DomainError("probe scanning needs a sequence with an origin map")
     wanted = {_class_code(c) for c in classes}
@@ -142,12 +182,10 @@ def scan_pattern_class(
     def line_text(part: int, stanza: int, lineno: int) -> str:
         return corpus.stanza_at(part, stanza).lines[lineno - 1].text
 
-    matches: list[ProbeMatch] = []
+    matches: list[Match] = []
     for pos in hits.tolist():
         rows = [tuple(int(v) for v in origin[pos + j]) for j in range(3)]
-        letters = "".join(line_text(p, s, ln)[off] for (p, s, ln, off) in rows)
-        if fold_case:
-            letters = letters.lower()
+        letters = "".join(line_text(p, s, ln)[off] for (p, s, ln, off) in rows).lower()
         groups: list[list[tuple[int, int, int, int]]] = []
         for row in rows:
             if groups and groups[-1][-1][:3] == row[:3]:
@@ -159,16 +197,14 @@ def scan_pattern_class(
             text = line_text(group[0][0], group[0][1], group[0][2])
             offsets = [r[3] for r in group]
             spans.append(_expand_span(text, min(offsets), max(offsets)))
-        context = _trim_nonletters(" ".join(spans))
-        if fold_case:
-            context = context.lower()
+        context = _trim_nonletters(" ".join(spans)).lower()
         single_word = False
         if len(groups) == 1:
             text = line_text(rows[0][0], rows[0][1], rows[0][2])
             lo, hi = rows[0][3], rows[2][3]
             single_word = not any(text[i].isspace() for i in range(lo, hi + 1))
         matches.append(
-            ProbeMatch(
+            Match(
                 letters=letters,
                 vc_class=_pattern3(codes[pos]),
                 context=context,
