@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -61,6 +61,7 @@ from .probes import (
     trigram_trend_table,
 )
 from .resample import STREAM_SURROGATE, MbbConfig, derived_rng, make_surrogate
+from .schemes import load_scheme
 from .stats import (
     bootstrap_model_coefficients,
     fit_interaction_model,
@@ -102,8 +103,6 @@ def _resolve_layout(path: Optional[str]) -> LayoutConfig:
 
 
 def _resolve_scheme(name_or_path: Optional[str]):
-    from .schemes import load_scheme
-
     return load_scheme(name_or_path or "ru")
 
 
@@ -153,9 +152,7 @@ def _load_labeled(
             ctx.surrogate.subblock_len,
             derived_rng(ctx.surrogate.seed, STREAM_SURROGATE, source_index),
         )
-        src = LoadedSource(
-            label=src.label, corpus=src.corpus, sequence=seq, segmentation=src.segmentation
-        )
+        src = replace(src, sequence=seq)
     return src
 
 
@@ -279,7 +276,7 @@ def _single_manifest(args, ctx: RunContext, command: str, src: LoadedSource, *,
         inputs.append(args.scheme)
     return _manifest_for(
         ctx, command, _single_config(args, **config), inputs + list(extra_inputs),
-        {src.label: _resolve_scheme(args.scheme).to_dict()}, seeds or {},
+        {src.label: src.scheme.to_dict()}, seeds or {},
     )
 
 
@@ -513,7 +510,6 @@ def cmd_regress(args, ctx: RunContext) -> None:
     schemes = _parse_labeled(args.scheme_map, "--scheme-map")
     loaded: list[LoadedSource] = []
     inputs: list[str] = []
-    scheme_desc: dict[str, dict] = {}
     for idx, label in enumerate(sorted(sources)):
         scheme = _resolve_scheme(schemes.get(label, args.scheme))
         loaded.append(_load_labeled(
@@ -523,7 +519,6 @@ def cmd_regress(args, ctx: RunContext) -> None:
         inputs.append(sources[label])
         if layouts.get(label):
             inputs.append(layouts[label])
-        scheme_desc[label] = scheme.to_dict()
     blocks = blocks_by_label(loaded)
     fit = bootstrap_model_coefficients(
         blocks, _mbb_config(args), level=args.level, which_cf=args.which_cf,
@@ -540,7 +535,7 @@ def cmd_regress(args, ctx: RunContext) -> None:
             "which_cf": args.which_cf, "unknown": args.unknown,
             "include_epigraphs": args.include_epigraphs,
         },
-        inputs, scheme_desc, {"master_seed": args.seed},
+        inputs, {src.label: src.scheme.to_dict() for src in loaded}, {"master_seed": args.seed},
     )
     with _outputs(args, manifest) as out:
         out.write_json("regression.json", {

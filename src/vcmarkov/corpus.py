@@ -18,12 +18,14 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Literal, Optional
 
 import numpy as np
 
 from .errors import DataError, ParseError
-from .schemes import EncodingScheme
+
+if TYPE_CHECKING:
+    from .schemes import EncodingScheme
 
 NumeralStyle = Literal["roman", "arabic"]
 

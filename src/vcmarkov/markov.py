@@ -30,14 +30,14 @@ and the memory depth is MD = 1 - CF. CF < 1 (MD > 0) means vowel counts
 disperse less than independence allows, the signature of an alternating,
 self-correcting stream.
 
-All estimators count overlapping windows and use no smoothing: a context
-that never occurs is an error, not a zero.
+A fit counts a sequence's overlapping trigrams once. The bigram counts
+are their prefix sums plus the final bigram, the vowel count is the symbol
+sum, and nothing is smoothed: a context that never occurs is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -61,24 +61,19 @@ def _as_symbol_array(seq: Union[SymbolSequence, np.ndarray]) -> np.ndarray:
     return arr
 
 
-def _pattern(code: int, order: int) -> str:
-    return "".join("V" if (code >> (order - 1 - j)) & 1 else "C" for j in range(order))
-
-
-def all_patterns(order: int) -> list[str]:
-    return ["".join(p) for p in product("CV", repeat=order)]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NgramCounts:
-    """Counts of overlapping length-``order`` windows."""
+    """Counts of overlapping length-``order`` windows, indexed by the window
+    read as a binary number with V = 1: ``freq[0b101]`` counts VCV."""
 
     order: int
-    counts: dict[str, int]
+    freq: np.ndarray
     n_effective: int
 
     def __getitem__(self, pattern: str) -> int:
-        return self.counts[pattern]
+        if len(pattern) != self.order or set(pattern) - {"V", "C"}:
+            raise KeyError(pattern)
+        return int(self.freq[int(pattern.replace("V", "1").replace("C", "0"), 2)])
 
 
 def count_ngrams(seq: Union[SymbolSequence, np.ndarray], order: int) -> NgramCounts:
@@ -97,8 +92,7 @@ def count_ngrams(seq: Union[SymbolSequence, np.ndarray], order: int) -> NgramCou
     for j in range(1, order):
         codes = (codes << 1) | x[j : n - order + 1 + j]
     freq = np.bincount(codes, minlength=2**order)
-    counts = {_pattern(code, order): int(freq[code]) for code in range(2**order)}
-    return NgramCounts(order=order, counts=counts, n_effective=n - order + 1)
+    return NgramCounts(order=order, freq=freq, n_effective=n - order + 1)
 
 
 def _check_prob(name: str, value: float) -> float:
@@ -161,40 +155,43 @@ class FourStateModel:
         return np.array([self.p00, self.p01, self.p10, self.p11], dtype=float)
 
 
-def fit_models(
-    counts1: NgramCounts, counts2: NgramCounts, counts3: NgramCounts
-) -> tuple[TwoStateModel, FourStateModel]:
-    """Maximum-likelihood estimates from unigram, bigram, and trigram counts.
+def _conditional(cv: int, cc: int, context: str) -> float:
+    denom = cv + cc
+    if denom == 0:
+        raise ZeroContextError(context)
+    return cv / denom
 
-    Conditional probabilities divide window counts by their context counts
-    within the same window range, so complements are exact. A context with
-    zero occurrences raises :class:`ZeroContextError` naming the context.
+
+def _fit(x: np.ndarray) -> tuple[float, float, float, float, float, float, float]:
+    """Maximum-likelihood (p, p0, p1, p11, p10, p01, p00) of ``x``.
+
+    Too few symbols for some order up to 3 is a :class:`DomainError` naming
+    the lowest such order; a context that never occurs raises
+    :class:`ZeroContextError` naming it, V and C before VV, VC, CV, CC.
     """
-    if (counts1.order, counts2.order, counts3.order) != (1, 2, 3):
-        raise ValueError("expected counts of orders 1, 2 and 3")
-    p = counts1["V"] / counts1.n_effective
-
-    def conditional(cv: int, cc: int, context: str) -> float:
-        denom = cv + cc
-        if denom == 0:
-            raise ZeroContextError(context)
-        return cv / denom
-
-    p1 = conditional(counts2["VV"], counts2["VC"], "V")
-    p0 = conditional(counts2["CV"], counts2["CC"], "C")
-    two = TwoStateModel.from_probs(p=p, p0=p0, p1=p1)
-    four = FourStateModel(
-        p11=conditional(counts3["VVV"], counts3["VVC"], "VV"),
-        p10=conditional(counts3["VCV"], counts3["VCC"], "VC"),
-        p01=conditional(counts3["CVV"], counts3["CVC"], "CV"),
-        p00=conditional(counts3["CCV"], counts3["CCC"], "CC"),
+    n = x.size
+    if n < 3:
+        raise DomainError(f"sequence of length {n} has no windows of order {n + 1}")
+    f = count_ngrams(x, 3).freq.tolist()
+    bigrams = [f[0] + f[1], f[2] + f[3], f[4] + f[5], f[6] + f[7]]
+    bigrams[2 * int(x[-2]) + int(x[-1])] += 1
+    p = int(x.sum()) / n
+    p1 = _conditional(bigrams[3], bigrams[2], "V")
+    p0 = _conditional(bigrams[1], bigrams[0], "C")
+    return (
+        p, p0, p1,
+        _conditional(f[7], f[6], "VV"),
+        _conditional(f[5], f[4], "VC"),
+        _conditional(f[3], f[2], "CV"),
+        _conditional(f[1], f[0], "CC"),
     )
-    return two, four
 
 
 def fit_sequence(seq: Union[SymbolSequence, np.ndarray]) -> tuple[TwoStateModel, FourStateModel]:
-    """Count orders 1..3 on the sequence and fit both models."""
-    return fit_models(count_ngrams(seq, 1), count_ngrams(seq, 2), count_ngrams(seq, 3))
+    """Fit both models on a sequence from one trigram count."""
+    p, p0, p1, p11, p10, p01, p00 = _fit(_as_symbol_array(seq))
+    two = TwoStateModel.from_probs(p=p, p0=p0, p1=p1)
+    return two, FourStateModel(p11=p11, p10=p10, p01=p01, p00=p00)
 
 
 @dataclass(frozen=True)
@@ -211,31 +208,23 @@ class DispersionReport:
     which_cf: WhichCF
 
 
-def dispersion_report(
-    two: TwoStateModel,
-    four: FourStateModel,
-    n: int,
-    which_cf: WhichCF = "complex",
+def _dispersion(
+    p: float, p0: float, p1: float, p11: float, p00: float, n: int, which_cf: WhichCF
 ) -> DispersionReport:
-    """Dispersion coefficients and memory depth for fitted models.
-
-    ``n`` is the symbol count behind the fit; it scales the variance
-    columns only. Poles of the closed forms (d, eta, or nu at 1) raise
-    :class:`DomainError` naming the offending quantity.
-    """
     if which_cf not in ("simple", "complex"):
         raise ValueError(f"which_cf must be 'simple' or 'complex', got {which_cf!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    d = two.p1 - two.p0
+    q, q0, q1, q00 = 1.0 - p, 1.0 - p0, 1.0 - p1, 1.0 - p00
+    d = p1 - p0
     if d >= 1.0 - _POLE_TOL:
         raise DomainError(f"dispersion pole: d = p1 - p0 = {d} is at or above 1")
-    if two.q1 <= 0.0:
+    if q1 <= 0.0:
         raise DomainError("eta undefined: q1 = P(C | V) is zero")
-    if two.p0 <= 0.0:
+    if p0 <= 0.0:
         raise DomainError("nu undefined: p0 = P(V | C) is zero")
-    eta = (four.p11 - two.p1) / two.q1
-    nu = (four.q00 - two.q0) / two.p0
+    eta = (p11 - p1) / q1
+    nu = (q00 - q0) / p0
     if eta >= 1.0 - _POLE_TOL:
         raise DomainError(f"dispersion pole: eta = {eta} is at or above 1")
     if nu >= 1.0 - _POLE_TOL:
@@ -243,10 +232,10 @@ def dispersion_report(
     cf_simple = (1.0 + d) / (1.0 - d)
     cf_complex = (
         0.5 * ((1.0 + eta) / (1.0 - eta) + (1.0 + nu) / (1.0 - nu)) * cf_simple
-        + (two.q - two.p) * (nu - eta) / ((1.0 - eta) * (1.0 - nu))
+        + (q - p) * (nu - eta) / ((1.0 - eta) * (1.0 - nu))
     )
     cf = cf_simple if which_cf == "simple" else cf_complex
-    var_independent = two.p * two.q / n
+    var_independent = p * q / n
     return DispersionReport(
         d=d,
         eta=eta,
@@ -261,13 +250,26 @@ def dispersion_report(
     )
 
 
+def dispersion_report(
+    two: TwoStateModel, four: FourStateModel, n: int, which_cf: WhichCF = "complex"
+) -> DispersionReport:
+    """Dispersion coefficients and memory depth for fitted models.
+
+    ``n`` is the symbol count behind the fit; it scales the variance
+    columns only. Poles of the closed forms (d, eta, or nu at 1) raise
+    :class:`DomainError` naming the offending quantity. The complements
+    are taken as 1 - p of the models' probabilities.
+    """
+    return _dispersion(two.p, two.p0, two.p1, four.p11, four.p00, n, which_cf)
+
+
 def sequence_report(
     seq: Union[SymbolSequence, np.ndarray], which_cf: WhichCF = "complex"
 ) -> DispersionReport:
-    """Fit both models on a sequence and build its dispersion report."""
+    """Fit a sequence from one trigram count and build its dispersion report."""
     x = _as_symbol_array(seq)
-    two, four = fit_sequence(x)
-    return dispersion_report(two, four, n=x.size, which_cf=which_cf)
+    p, p0, p1, p11, _, _, p00 = _fit(x)
+    return _dispersion(p, p0, p1, p11, p00, x.size, which_cf)
 
 
 def stationary_bigram_distribution(model: FourStateModel) -> np.ndarray:
@@ -335,8 +337,6 @@ def trigram_discrepancy(empirical: NgramCounts, simulated: NgramCounts) -> float
     if empirical.order != 3 or simulated.order != 3:
         raise ValueError("trigram_discrepancy expects order-3 counts")
     total = 0.0
-    for pattern in all_patterns(3):
-        fe = empirical[pattern] / empirical.n_effective
-        fs = simulated[pattern] / simulated.n_effective
-        total += abs(fe - fs)
+    for fe, fs in zip(empirical.freq.tolist(), simulated.freq.tolist()):
+        total += abs(fe / empirical.n_effective - fs / simulated.n_effective)
     return total

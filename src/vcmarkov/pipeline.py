@@ -43,6 +43,7 @@ class LoadedSource:
     corpus: Corpus
     sequence: SymbolSequence
     segmentation: BlockSegmentation
+    scheme: EncodingScheme
 
 
 def load_source(
@@ -71,7 +72,7 @@ def load_source(
             f"source {label!r}: {len(seq)} symbols yield no analysis blocks "
             f"(block_len={block_len}, keep_partial={keep_partial})"
         )
-    return LoadedSource(label=label, corpus=corpus, sequence=seq, segmentation=segmentation)
+    return LoadedSource(label, corpus, seq, segmentation, scheme)
 
 
 PROFILE_COLUMNS = (
@@ -270,8 +271,8 @@ def simulation_ensemble(
             f"model_block {model_block} outside 0..{len(source.segmentation) - 1}"
         )
     x = source.segmentation.slice(source.sequence, model_block)
-    _, four = fit_sequence(x)
-    empirical = sequence_report(x, which_cf=which_cf)
+    two, four = fit_sequence(x)
+    empirical = dispersion_report(two, four, n=x.size, which_cf=which_cf)
     emp_tri = count_ngrams(x, 3)
     md = np.empty(n_simulations)
     disc = np.empty(n_simulations)

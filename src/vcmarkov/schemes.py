@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
+from .corpus import read_text_file
 from .errors import DataError
 
 Classification = Literal["V", "C", "excluded", "unknown"]
@@ -155,13 +156,14 @@ def load_scheme(name_or_path: str) -> EncodingScheme:
     if name_or_path in DEFAULT_SCHEMES:
         return DEFAULT_SCHEMES[name_or_path]
     try:
-        with open(name_or_path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(read_text_file(name_or_path))
     except OSError as exc:
         raise ValueError(
             f"unknown scheme {name_or_path!r}: not a registry name "
             f"({', '.join(sorted(DEFAULT_SCHEMES))}) and not a readable file: {exc}"
         ) from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{name_or_path}: not valid JSON: {exc}") from exc
     try:
         return EncodingScheme.from_dict(data)
     except KeyError as exc:

@@ -376,7 +376,7 @@ def _latin1_file(path, text):
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["layout", "blocks", "annotations", "names"])
+@pytest.mark.parametrize("case", ["layout", "scheme", "blocks", "annotations", "names"])
 def test_non_utf8_side_file_is_a_data_error(case, poem_file, layout_file, tmp_path, capsys):
     good_csv = tmp_path / "good.csv"
     good_csv.write_text("context,lemma,category\nстарик,старик,theme\n", encoding="utf-8")
@@ -384,6 +384,9 @@ def test_non_utf8_side_file_is_a_data_error(case, poem_file, layout_file, tmp_pa
     if case == "layout":
         bad = _latin1_file(tmp_path / "bad.json", '{"part_prefix": "caf\u00e9"}')
         argv = ["encode", "--input", poem_file, "--layout", bad]
+    elif case == "scheme":
+        bad = _latin1_file(tmp_path / "bad.json", '{"name": "caf\u00e9"}')
+        argv = ["encode", "--input", poem_file, "--layout", layout_file, "--scheme", bad]
     elif case == "blocks":
         good_csv.write_text("block,md\n1,0.1\n2,0.2\n", encoding="utf-8")
         bad = _latin1_file(tmp_path / "bad.csv", "block,md\n1,0.1\n2,0.2\n# caf\u00e9\n")
@@ -411,6 +414,17 @@ def test_layout_that_is_not_json_is_a_data_error(poem_file, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "error [data]" in err and "broken_layout.json" in err and "not valid JSON" in err
+
+
+def test_scheme_that_is_not_json_is_a_data_error(poem_file, tmp_path, capsys):
+    scheme = tmp_path / "broken_scheme.json"
+    scheme.write_text('{"name": "x" "vowels": "a", "consonants": "b"}', encoding="utf-8")
+    rc = run_cli([
+        "encode", "--input", poem_file, "--scheme", str(scheme), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error [data]" in err and "broken_scheme.json" in err and "not valid JSON" in err
 
 
 def test_probe_tells_two_epigraphs_of_a_part_apart(tmp_path):
