@@ -38,6 +38,12 @@ from .encoding import origin_rows
 from .errors import DataError, DomainError
 from .manifest import OutputSet, build_manifest
 from .pipeline import (
+    ACF_COLUMNS,
+    ENSEMBLE_COLUMNS,
+    INTERVAL_COLUMNS,
+    LJUNG_BOX_COLUMNS,
+    PROFILE_COLUMNS,
+    REPLICATE_COLUMNS,
     LoadedSource,
     acf_blocks,
     blocks_by_label,
@@ -46,7 +52,6 @@ from .pipeline import (
     md_parameter_correlations,
     profile_rows,
     simulation_ensemble,
-    PROFILE_COLUMNS,
 )
 from .probes import (
     ALTERNATING_CLASSES,
@@ -115,12 +120,6 @@ def _out_dir(args) -> str:
     return "vcmarkov-out"
 
 
-def _min_partial(args) -> int:
-    if args.min_partial is not None:
-        return args.min_partial
-    return max(args.block_len // 2, 1)
-
-
 def _load_single(args, ctx: RunContext) -> LoadedSource:
     label = args.source_id or os.path.splitext(os.path.basename(args.input))[0]
     return _load_labeled(
@@ -142,7 +141,7 @@ def _load_labeled(
         label=label,
         block_len=args.block_len,
         keep_partial=args.keep_partial,
-        min_partial=_min_partial(args),
+        min_partial=args.min_partial,
         unknown_policy=args.unknown,
         include_epigraphs=args.include_epigraphs,
     )
@@ -173,14 +172,6 @@ def _outputs(args, manifest):
     except BaseException:
         out.discard_all()
         raise
-
-
-def _interval_row(label, block, statistic, point, iv, n):
-    return (label, block, statistic, point, iv.lo, iv.hi, iv.level, n)
-
-
-def _interval_json(iv) -> dict:
-    return {"lo": iv.lo, "hi": iv.hi, "level": iv.level}
 
 
 def _mbb_config(args) -> MbbConfig:
@@ -252,37 +243,25 @@ def cmd_align(args, ctx: RunContext) -> None:
         })
 
 
-def _single_config(args, **extra) -> dict:
-    cfg = {
-        "input": args.input,
-        "layout": args.layout,
-        "scheme": args.scheme,
-        "source_id": args.source_id,
-        "block_len": args.block_len,
-        "keep_partial": args.keep_partial,
-        "min_partial": _min_partial(args),
-        "unknown": args.unknown,
-        "include_epigraphs": args.include_epigraphs,
-    }
-    cfg.update(extra)
-    return cfg
-
-
-def _single_manifest(args, ctx: RunContext, command: str, src: LoadedSource, *,
-                     seeds: Optional[dict] = None, extra_inputs=(), **config):
-    """Manifest of a single-source command: its options, input files and scheme."""
+def _single_manifest(args, ctx: RunContext, src: LoadedSource, extra_inputs=()):
+    """Manifest of a single-source command: its parsed options, input files
+    and scheme; ``--seed``, where the command has one, is the master seed."""
+    config = vars(args).copy()
+    command = config.pop("command")
+    del config["out"]
+    seeds = {"master_seed": config.pop("seed")} if "seed" in config else {}
     inputs = [p for p in (args.input, args.layout) if p]
     if args.scheme and os.path.exists(args.scheme):
         inputs.append(args.scheme)
     return _manifest_for(
-        ctx, command, _single_config(args, **config), inputs + list(extra_inputs),
-        {src.label: src.scheme.to_dict()}, seeds or {},
+        ctx, command, config, inputs + list(extra_inputs),
+        {src.label: src.scheme.to_dict()}, seeds,
     )
 
 
 def cmd_encode(args, ctx: RunContext) -> None:
     src = _load_single(args, ctx)
-    manifest = _single_manifest(args, ctx, "encode", src)
+    manifest = _single_manifest(args, ctx, src)
     with _outputs(args, manifest) as out:
         out.write_text("sequence.txt", src.sequence.to_string())
         out.write_csv(
@@ -304,9 +283,7 @@ def cmd_profile(args, ctx: RunContext) -> None:
             f"warning: only {len(src.segmentation)} blocks; "
             "skipping md correlations", file=sys.stderr,
         )
-    manifest = _single_manifest(
-        args, ctx, "profile", src, which_cf=args.which_cf, control_set=args.control_set
-    )
+    manifest = _single_manifest(args, ctx, src)
     with _outputs(args, manifest) as out:
         out.write_csv("blocks.csv", PROFILE_COLUMNS, rows)
         if corr_rows is not None:
@@ -319,115 +296,42 @@ def cmd_profile(args, ctx: RunContext) -> None:
 
 def cmd_bootstrap(args, ctx: RunContext) -> None:
     src = _load_single(args, ctx)
-    cfg = _mbb_config(args)
-    results = bootstrap_blocks(src, cfg, level=args.level, which_cf=args.which_cf)
-    manifest = _single_manifest(
-        args, ctx, "bootstrap", src, seeds={"master_seed": args.seed},
-        subblock_len=args.subblock_len, replicates=args.replicates,
-        level=args.level, which_cf=args.which_cf,
+    replicates, intervals = bootstrap_blocks(
+        src, _mbb_config(args), level=args.level, which_cf=args.which_cf
     )
-    with _outputs(args, manifest) as out:
-        rep_rows = []
-        for res in results:
-            for r in range(cfg.n_replicates):
-                rep_rows.append((
-                    src.label, res.block, r, res.md[r], res.cf_simple[r], res.cf_complex[r]
-                ))
-        out.write_csv(
-            "replicates.csv",
-            ("source", "block", "replicate", "md", "cf_simple", "cf_complex"),
-            rep_rows,
-        )
-        iv_rows = []
-        for res in results:
-            iv_rows.append(_interval_row(
-                src.label, res.block, "md", res.point_md, res.md_interval, res.n))
-            iv_rows.append(_interval_row(
-                src.label, res.block, "cf_simple", res.point_cf_simple,
-                res.cf_simple_interval, res.n))
-            iv_rows.append(_interval_row(
-                src.label, res.block, "cf_complex", res.point_cf_complex,
-                res.cf_complex_interval, res.n))
-        out.write_csv(
-            "intervals.csv",
-            ("source", "block", "statistic", "point", "lo", "hi", "level", "n"),
-            iv_rows,
-        )
+    with _outputs(args, _single_manifest(args, ctx, src)) as out:
+        out.write_csv("replicates.csv", REPLICATE_COLUMNS, replicates)
+        out.write_csv("intervals.csv", INTERVAL_COLUMNS, intervals)
 
 
 def cmd_acf(args, ctx: RunContext) -> None:
     src = _load_single(args, ctx)
-    results = acf_blocks(
+    acf_rows, lb_rows = acf_blocks(
         src, _mbb_config(args), max_lag=args.max_lag, ci_lags=args.ci_lags,
         lb_h=args.lb_lag, level=args.level,
     )
-    manifest = _single_manifest(
-        args, ctx, "acf", src, seeds={"master_seed": args.seed},
-        subblock_len=args.subblock_len, replicates=args.replicates,
-        max_lag=args.max_lag, ci_lags=args.ci_lags, lb_lag=args.lb_lag,
-        level=args.level,
-    )
-    with _outputs(args, manifest) as out:
-        acf_rows = []
-        for res in results:
-            for i, lag in enumerate(res.lags):
-                in_band = i < len(res.band_lo)
-                acf_rows.append((
-                    src.label, res.block, int(lag), res.rho[i],
-                    res.band_lo[i] if in_band else "",
-                    res.band_hi[i] if in_band else "",
-                    -res.white_noise, res.white_noise,
-                ))
-        out.write_csv(
-            "acf.csv",
-            ("source", "block", "lag", "rho", "band_lo", "band_hi",
-             "white_noise_lo", "white_noise_hi"),
-            acf_rows,
-        )
-        out.write_csv(
-            "ljung_box.csv",
-            ("source", "block", "h", "statistic", "p_value", "n"),
-            [(src.label, res.block, res.lb_h, res.lb_statistic, res.lb_p_value, res.n)
-             for res in results],
-        )
+    with _outputs(args, _single_manifest(args, ctx, src)) as out:
+        out.write_csv("acf.csv", ACF_COLUMNS, acf_rows)
+        out.write_csv("ljung_box.csv", LJUNG_BOX_COLUMNS, lb_rows)
 
 
 def cmd_simulate(args, ctx: RunContext) -> None:
+    # no text has a block 0: say so before reading any input
     if args.model_block < 1:
         raise ValueError("--model-block is 1-based and must be >= 1")
     src = _load_single(args, ctx)
-    summary = simulation_ensemble(
+    rows, summary = simulation_ensemble(
         src,
         n_simulations=args.ensemble,
         sim_length=args.sim_length,
         master_seed=args.seed,
-        model_block=args.model_block - 1,
+        model_block=args.model_block,
         which_cf=args.which_cf,
         level=args.level,
     )
-    manifest = _single_manifest(
-        args, ctx, "simulate", src, seeds={"master_seed": args.seed},
-        ensemble=args.ensemble, sim_length=args.sim_length,
-        model_block=args.model_block, which_cf=args.which_cf, level=args.level,
-    )
-    with _outputs(args, manifest) as out:
-        out.write_csv(
-            "ensemble.csv",
-            ("source", "simulation", "md", "discrepancy"),
-            [(src.label, s, summary.md[s], summary.discrepancy[s])
-             for s in range(summary.n_simulations)],
-        )
-        out.write_json("simulation.json", {
-            "source": src.label,
-            "model_block": summary.model_block,
-            "n_simulations": summary.n_simulations,
-            "sim_length": summary.sim_length,
-            "empirical_md": summary.empirical_md,
-            "md_interval": _interval_json(summary.md_interval),
-            "discrepancy_median": summary.discrepancy_median,
-            "discrepancy_interval": _interval_json(summary.discrepancy_interval),
-            "median_interval": _interval_json(summary.median_interval),
-        })
+    with _outputs(args, _single_manifest(args, ctx, src)) as out:
+        out.write_csv("ensemble.csv", ENSEMBLE_COLUMNS, rows)
+        out.write_json("simulation.json", summary)
 
 
 def _parse_labeled(values: Optional[Sequence[str]], flag: str) -> dict[str, str]:
@@ -464,6 +368,36 @@ def _read_profile_blocks(path: str) -> list[tuple[int, float]]:
     return out
 
 
+def _write_regression(out: OutputSet, fit, rows) -> None:
+    """regression.json and md_blocks.csv of an interaction fit on the
+    (md, block, label) ``rows``; a bootstrapped fit adds its intervals, its
+    level and coefficients.csv."""
+    coefficients = {name: {"estimate": value} for name, value in fit.coefficients.items()}
+    payload = {
+        "baseline": fit.baseline,
+        "treatment": fit.treatment,
+        "n_rows": fit.n,
+        "r_squared": fit.r_squared,
+        "coefficients": coefficients,
+    }
+    if fit.bootstrap is not None:
+        payload["level"] = fit.bootstrap["intercept"].interval.level
+        for name, boot in fit.bootstrap.items():
+            coefficients[name].update(
+                bootstrap_mean=boot.mean, lo=boot.interval.lo, hi=boot.interval.hi
+            )
+        out.write_csv(
+            "coefficients.csv", ("coefficient", "replicate", "value"),
+            [(name, r, value) for name, boot in fit.bootstrap.items()
+             for r, value in enumerate(boot.samples.tolist())],
+        )
+    out.write_json("regression.json", payload)
+    out.write_csv(
+        "md_blocks.csv", ("source", "block", "md"),
+        [(label, int(block), md) for md, block, label in rows],
+    )
+
+
 def cmd_regress_blocks(args, ctx: RunContext) -> None:
     """Point fit from previously written profile tables, no resampling."""
     tables = _parse_labeled(args.blocks, "--blocks")
@@ -480,21 +414,7 @@ def cmd_regress_blocks(args, ctx: RunContext) -> None:
         list(tables.values()), {}, {},
     )
     with _outputs(args, manifest) as out:
-        out.write_json("regression.json", {
-            "baseline": fit.baseline,
-            "treatment": fit.treatment,
-            "n_rows": fit.n,
-            "r_squared": fit.r_squared,
-            "coefficients": {
-                name: {"estimate": fit.coefficients[name]}
-                for name in fit.coefficients
-            },
-        })
-        out.write_csv(
-            "md_blocks.csv",
-            ("source", "block", "md"),
-            [(label, block, md) for md, block, label in rows],
-        )
+        _write_regression(out, fit, rows)
 
 
 def cmd_regress(args, ctx: RunContext) -> None:
@@ -531,52 +451,22 @@ def cmd_regress(args, ctx: RunContext) -> None:
             "scheme": args.scheme, "baseline": fit.baseline,
             "block_len": args.block_len, "subblock_len": args.subblock_len,
             "replicates": args.replicates, "keep_partial": args.keep_partial,
-            "min_partial": _min_partial(args), "level": args.level,
+            "min_partial": args.min_partial, "level": args.level,
             "which_cf": args.which_cf, "unknown": args.unknown,
             "include_epigraphs": args.include_epigraphs,
         },
         inputs, {src.label: src.scheme.to_dict() for src in loaded}, {"master_seed": args.seed},
     )
     with _outputs(args, manifest) as out:
-        out.write_json("regression.json", {
-            "baseline": fit.baseline,
-            "treatment": fit.treatment,
-            "n_rows": fit.n,
-            "r_squared": fit.r_squared,
-            "level": args.level,
-            "coefficients": {
-                name: {
-                    "estimate": fit.coefficients[name],
-                    "bootstrap_mean": fit.bootstrap[name].mean,
-                    "lo": fit.bootstrap[name].interval.lo,
-                    "hi": fit.bootstrap[name].interval.hi,
-                }
-                for name in fit.coefficients
-            },
-        })
-        coef_rows = []
-        for name in fit.coefficients:
-            samples = fit.bootstrap[name].samples
-            for r in range(samples.size):
-                coef_rows.append((name, r, samples[r]))
-        out.write_csv(
-            "coefficients.csv", ("coefficient", "replicate", "value"), coef_rows
-        )
-        out.write_csv(
-            "md_blocks.csv",
-            ("source", "block", "md"),
-            [(label, int(block), md)
-             for md, block, label in regression_rows_from_blocks(blocks, args.which_cf)],
-        )
+        _write_regression(out, fit, regression_rows_from_blocks(blocks, args.which_cf))
 
 
 def cmd_probe(args, ctx: RunContext) -> None:
     if args.names and not args.annotations:
         raise ValueError("--names requires --annotations (categories define themes)")
     src = _load_single(args, ctx)
-    classes = [c.strip().upper() for c in args.classes.split(",") if c.strip()]
     matches = scan_pattern_class(
-        src.sequence, src.corpus, classes, segmentation=src.segmentation
+        src.sequence, src.corpus, args.classes, segmentation=src.segmentation
     )
     class_counts = dict(zip(PATTERNS, np.bincount(matches.vc_class, minlength=8).tolist()))
     candidates = None
@@ -609,18 +499,13 @@ def cmd_probe(args, ctx: RunContext) -> None:
                 include_epigraphs=args.include_epigraphs,
             )
     manifest = _single_manifest(
-        args, ctx, "probe", src,
-        extra_inputs=[p for p in (args.annotations, args.names) if p],
-        classes=classes, threshold=args.threshold,
-        letters=args.letters, include_multiword=args.include_multiword,
-        latin_min_len=args.latin_min_len,
-        annotations=args.annotations, names=args.names,
+        args, ctx, src, extra_inputs=[p for p in (args.annotations, args.names) if p]
     )
     with _outputs(args, manifest) as out:
         out.write_csv(
             "class_totals.csv",
             ("source", "vc_class", "count"),
-            [(src.label, c, class_counts[c]) for c in sorted(set(classes))],
+            [(src.label, c, class_counts[c]) for c in sorted(set(args.classes))],
         )
         out.write_csv(
             "matches.csv",
@@ -716,6 +601,10 @@ def cmd_probe(args, ctx: RunContext) -> None:
 # ---------------------------------------------------------------- parser
 
 
+def _class_list(text: str) -> list[str]:
+    return [c.strip().upper() for c in text.split(",") if c.strip()]
+
+
 def _add_out(p):
     p.add_argument(
         "--out", default=None,
@@ -723,14 +612,17 @@ def _add_out(p):
     )
 
 
-def _add_single_source(p, *, scheme_default="ru"):
+def _add_single_source(p):
     p.add_argument("--input", required=True, help="path to the corpus text file")
     p.add_argument("--layout", default=None, help="layout JSON (default: bare layout)")
-    p.add_argument(
-        "--scheme", default=scheme_default,
-        help="scheme name (ru, it) or path to a scheme JSON",
-    )
     p.add_argument("--source-id", default=None, help="label for this source")
+    _add_encoding(p)
+
+
+def _add_encoding(p):
+    p.add_argument(
+        "--scheme", default="ru", help="scheme name (ru, it) or path to a scheme JSON"
+    )
     p.add_argument(
         "--unknown", choices=("error", "skip"), default="error",
         help="policy for letters outside the scheme",
@@ -843,10 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme-map", action="append", metavar="LABEL=SCHEME", default=None,
         help="per-source scheme; falls back to --scheme",
     )
-    p.add_argument("--scheme", default="ru", help="default scheme for all sources")
     p.add_argument("--baseline", default=None, help="baseline source label")
-    p.add_argument("--unknown", choices=("error", "skip"), default="error")
-    p.add_argument("--include-epigraphs", action="store_true")
+    _add_encoding(p)
     _add_blocks(p)
     _add_mbb(p)
     _add_which_cf(p)
@@ -855,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="trigram scan, ranks, trends, categories, names")
     _add_single_source(p)
     _add_blocks(p)
-    p.add_argument("--classes", default=DEFAULT_CLASSES)
+    p.add_argument("--classes", type=_class_list, default=DEFAULT_CLASSES)
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--letters", default=None, help="restrict categorization to one trigram")
     p.add_argument(
@@ -910,6 +800,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             apply_to=set(args.apply_to) if args.apply_to else None,
         )
         args = parser.parse_args(args.wrapped)
+    # --min-partial defaults to half of --block-len
+    if getattr(args, "min_partial", 0) is None:
+        args.min_partial = max(args.block_len // 2, 1)
     try:
         _DISPATCH[args.command](args, ctx)
     except (DataError, OSError, json.JSONDecodeError) as exc:

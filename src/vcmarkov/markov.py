@@ -104,29 +104,27 @@ def _check_prob(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class TwoStateModel:
-    """First-order chain: vowel rate plus P(V | previous symbol).
-
-    Complements are stored rather than recomputed so that q-quantities are
-    exactly 1 - p as counted.
-    """
+    """First-order chain: vowel rate plus P(V | previous symbol)."""
 
     p: float
-    q: float
     p0: float
-    q0: float
     p1: float
-    q1: float
 
     def __post_init__(self):
-        for name in ("p", "q", "p0", "q0", "p1", "q1"):
+        for name in ("p", "p0", "p1"):
             _check_prob(name, getattr(self, name))
-        for a, b in (("p", "q"), ("p0", "q0"), ("p1", "q1")):
-            if abs(getattr(self, a) + getattr(self, b) - 1.0) > 1e-9:
-                raise ValueError(f"{a} and {b} must sum to 1")
 
-    @classmethod
-    def from_probs(cls, p: float, p0: float, p1: float) -> "TwoStateModel":
-        return cls(p=p, q=1.0 - p, p0=p0, q0=1.0 - p0, p1=p1, q1=1.0 - p1)
+    @property
+    def q(self) -> float:
+        return 1.0 - self.p
+
+    @property
+    def q0(self) -> float:
+        return 1.0 - self.p0
+
+    @property
+    def q1(self) -> float:
+        return 1.0 - self.p1
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ def _fit(x: np.ndarray) -> tuple[float, float, float, float, float, float, float
 def fit_sequence(seq: Union[SymbolSequence, np.ndarray]) -> tuple[TwoStateModel, FourStateModel]:
     """Fit both models on a sequence from one trigram count."""
     p, p0, p1, p11, p10, p01, p00 = _fit(_as_symbol_array(seq))
-    two = TwoStateModel.from_probs(p=p, p0=p0, p1=p1)
+    two = TwoStateModel(p=p, p0=p0, p1=p1)
     return two, FourStateModel(p11=p11, p10=p10, p01=p01, p00=p00)
 
 

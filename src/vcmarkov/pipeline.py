@@ -1,15 +1,17 @@
 """Orchestration: wire corpus, encoding, models, and resampling together.
 
-These functions produce plain row/summary structures that the command
-line serializes. They are importable on their own, so the full pipeline
-can be driven from tests or notebooks without touching the filesystem
-conventions of the CLI.
+The analysis functions return the rows of the tables that the command
+line writes, and a simulation's JSON summary; the ``*_COLUMNS`` tuples
+are those tables' headers. They are importable on their own, so the full
+pipeline can be driven from tests or notebooks without touching the
+filesystem conventions of the CLI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .markov import (
 )
 from .resample import (
     STREAM_SIM,
-    Interval,
     MbbConfig,
     derived_rng,
     mbb_replicate,
@@ -125,19 +126,9 @@ def md_parameter_correlations(rows: Sequence[tuple], control_set: str = "block")
     return out
 
 
-@dataclass
-class BlockBootstrap:
-    block: int
-    n: int
-    point_md: float
-    point_cf_simple: float
-    point_cf_complex: float
-    md: np.ndarray
-    cf_simple: np.ndarray
-    cf_complex: np.ndarray
-    md_interval: Interval
-    cf_simple_interval: Interval
-    cf_complex_interval: Interval
+REPLICATE_COLUMNS = ("source", "block", "replicate", "md", "cf_simple", "cf_complex")
+INTERVAL_COLUMNS = ("source", "block", "statistic", "point", "lo", "hi", "level", "n")
+BOOTSTRAP_STATISTICS = ("md", "cf_simple", "cf_complex")
 
 
 def bootstrap_blocks(
@@ -147,49 +138,36 @@ def bootstrap_blocks(
     level: float = 0.95,
     which_cf: WhichCF = "complex",
     source_index: int = 0,
-) -> list[BlockBootstrap]:
-    """MBB replicate distributions of CF and MD for every block."""
-    out = []
+) -> tuple[list[tuple], list[tuple]]:
+    """MBB replicate distributions of CF and MD for every block.
+
+    Returns the rows of REPLICATE_COLUMNS, one per block and replicate, and
+    of INTERVAL_COLUMNS, one per block and statistic.
+    """
+    replicates, intervals = [], []
     for b in range(len(source.segmentation)):
         x = source.segmentation.slice(source.sequence, b)
         point = sequence_report(x, which_cf=which_cf)
-        md = np.empty(cfg.n_replicates)
-        cf_s = np.empty(cfg.n_replicates)
-        cf_c = np.empty(cfg.n_replicates)
+        samples = []
         for r in range(cfg.n_replicates):
             rep = mbb_replicate(x, cfg, r, block_index=b, source_index=source_index)
             report = sequence_report(rep, which_cf=which_cf)
-            md[r] = report.md
-            cf_s[r] = report.cf_simple
-            cf_c[r] = report.cf_complex
-        out.append(BlockBootstrap(
-            block=b + 1,
-            n=x.size,
-            point_md=point.md,
-            point_cf_simple=point.cf_simple,
-            point_cf_complex=point.cf_complex,
-            md=md,
-            cf_simple=cf_s,
-            cf_complex=cf_c,
-            md_interval=percentile_interval(md, level),
-            cf_simple_interval=percentile_interval(cf_s, level),
-            cf_complex_interval=percentile_interval(cf_c, level),
-        ))
-    return out
+            samples.append((report.md, report.cf_simple, report.cf_complex))
+            replicates.append((source.label, b + 1, r, *samples[-1]))
+        for statistic, values in zip(BOOTSTRAP_STATISTICS, zip(*samples)):
+            iv = percentile_interval(values, level)
+            intervals.append((
+                source.label, b + 1, statistic, getattr(point, statistic),
+                iv.lo, iv.hi, iv.level, x.size,
+            ))
+    return replicates, intervals
 
 
-@dataclass
-class BlockAcf:
-    block: int
-    n: int
-    lags: np.ndarray
-    rho: np.ndarray
-    band_lo: np.ndarray      # MBB percentile band, first ci_lags lags
-    band_hi: np.ndarray
-    white_noise: float
-    lb_statistic: float
-    lb_p_value: float
-    lb_h: int
+ACF_COLUMNS = (
+    "source", "block", "lag", "rho", "band_lo", "band_hi",
+    "white_noise_lo", "white_noise_hi",
+)
+LJUNG_BOX_COLUMNS = ("source", "block", "h", "statistic", "p_value", "n")
 
 
 def acf_blocks(
@@ -201,11 +179,15 @@ def acf_blocks(
     lb_h: int = 10,
     level: float = 0.95,
     source_index: int = 0,
-) -> list[BlockAcf]:
-    """Per-block ACF with Ljung-Box test and MBB bands on the first lags."""
+) -> tuple[list[tuple], list[tuple]]:
+    """Per-block ACF with Ljung-Box test and MBB bands on the first lags.
+
+    Returns the rows of ACF_COLUMNS, one per block and lag (the band cells
+    are empty past ``ci_lags``), and of LJUNG_BOX_COLUMNS, one per block.
+    """
     if ci_lags > max_lag:
         raise ValueError("ci_lags cannot exceed max_lag")
-    out = []
+    acf_rows, lb_rows = [], []
     for b in range(len(source.segmentation)):
         x = source.segmentation.slice(source.sequence, b)
         acf = autocorrelation(x, max_lag)
@@ -214,38 +196,16 @@ def acf_blocks(
         for r in range(cfg.n_replicates):
             rep = mbb_replicate(x, cfg, r, block_index=b, source_index=source_index)
             reps[r] = autocorrelation(rep, ci_lags).rho
-        lo = np.empty(ci_lags)
-        hi = np.empty(ci_lags)
-        for k in range(ci_lags):
-            iv = percentile_interval(reps[:, k], level)
-            lo[k], hi[k] = iv.lo, iv.hi
-        out.append(BlockAcf(
-            block=b + 1,
-            n=x.size,
-            lags=acf.lags,
-            rho=acf.rho,
-            band_lo=lo,
-            band_hi=hi,
-            white_noise=white_noise_band(x.size),
-            lb_statistic=lb.statistic,
-            lb_p_value=lb.p_value,
-            lb_h=lb.h,
-        ))
-    return out
+        band = [percentile_interval(reps[:, k], level) for k in range(ci_lags)]
+        white_noise = white_noise_band(x.size)
+        for i, (lag, rho) in enumerate(zip(acf.lags.tolist(), acf.rho.tolist())):
+            lo, hi = (band[i].lo, band[i].hi) if i < ci_lags else ("", "")
+            acf_rows.append((source.label, b + 1, lag, rho, lo, hi, -white_noise, white_noise))
+        lb_rows.append((source.label, b + 1, lb.h, lb.statistic, lb.p_value, x.size))
+    return acf_rows, lb_rows
 
 
-@dataclass
-class SimulationSummary:
-    model_block: int
-    n_simulations: int
-    sim_length: int
-    empirical_md: float
-    md: np.ndarray
-    discrepancy: np.ndarray
-    md_interval: Interval
-    discrepancy_median: float
-    discrepancy_interval: Interval
-    median_interval: Interval
+ENSEMBLE_COLUMNS = ("source", "simulation", "md", "discrepancy")
 
 
 def simulation_ensemble(
@@ -254,49 +214,51 @@ def simulation_ensemble(
     n_simulations: int = 500,
     sim_length: int = 10_000,
     master_seed: int = 0,
-    model_block: int = 0,
+    model_block: int = 1,
     which_cf: WhichCF = "complex",
     level: float = 0.95,
     source_index: int = 0,
-) -> SimulationSummary:
+) -> tuple[list[tuple], dict]:
     """Fit a block, simulate an ensemble, and compare it with the block.
 
-    Each simulation gets its own derived generator, indexed by simulation
-    number, and contributes its memory depth and the trigram discrepancy
-    against the empirical block. The median discrepancy also carries a
-    bootstrap interval (resampled medians over the ensemble).
+    ``model_block`` is 1-based. Each simulation gets its own derived
+    generator, indexed by simulation number, and contributes its memory
+    depth and the trigram discrepancy against the empirical block. The
+    median discrepancy also carries a bootstrap interval (resampled medians
+    over the ensemble). Returns the rows of ENSEMBLE_COLUMNS and the
+    summary payload.
     """
-    if not 0 <= model_block < len(source.segmentation):
-        raise ValueError(
-            f"model_block {model_block} outside 0..{len(source.segmentation) - 1}"
-        )
-    x = source.segmentation.slice(source.sequence, model_block)
+    n_blocks = len(source.segmentation)
+    if not 1 <= model_block <= n_blocks:
+        raise ValueError(f"model_block {model_block} outside 1..{n_blocks}")
+    b = model_block - 1
+    x = source.segmentation.slice(source.sequence, b)
     two, four = fit_sequence(x)
     empirical = dispersion_report(two, four, n=x.size, which_cf=which_cf)
     emp_tri = count_ngrams(x, 3)
     md = np.empty(n_simulations)
     disc = np.empty(n_simulations)
     for s in range(n_simulations):
-        rng = derived_rng(master_seed, STREAM_SIM, source_index, model_block, s)
+        rng = derived_rng(master_seed, STREAM_SIM, source_index, b, s)
         sim = simulate_sequence(four, sim_length, rng)
         md[s] = sequence_report(sim, which_cf=which_cf).md
         disc[s] = trigram_discrepancy(emp_tri, count_ngrams(sim, 3))
-    boot_rng = derived_rng(master_seed, STREAM_SIM, source_index, model_block, n_simulations)
+    boot_rng = derived_rng(master_seed, STREAM_SIM, source_index, b, n_simulations)
     medians = np.median(
         disc[boot_rng.integers(0, n_simulations, size=(1000, n_simulations))], axis=1
     )
-    return SimulationSummary(
-        model_block=model_block + 1,
-        n_simulations=n_simulations,
-        sim_length=sim_length,
-        empirical_md=empirical.md,
-        md=md,
-        discrepancy=disc,
-        md_interval=percentile_interval(md, level),
-        discrepancy_median=float(np.median(disc)),
-        discrepancy_interval=percentile_interval(disc, level),
-        median_interval=percentile_interval(medians, level),
-    )
+    rows = list(zip(repeat(source.label), range(n_simulations), md.tolist(), disc.tolist()))
+    return rows, {
+        "source": source.label,
+        "model_block": model_block,
+        "n_simulations": n_simulations,
+        "sim_length": sim_length,
+        "empirical_md": empirical.md,
+        "md_interval": asdict(percentile_interval(md, level)),
+        "discrepancy_median": float(np.median(disc)),
+        "discrepancy_interval": asdict(percentile_interval(disc, level)),
+        "median_interval": asdict(percentile_interval(medians, level)),
+    }
 
 
 def blocks_by_label(sources: Sequence[LoadedSource]) -> dict[str, list[np.ndarray]]:

@@ -2,9 +2,10 @@
 
 Rank statistics use mid-ranks for ties throughout, computed in numpy.
 Spearman p-values are exact up to n = 10, counting integer rank-product
-sums over all n! orderings, and use the standard t approximation above
-that; partial correlations always use the t approximation with the
-reduced degrees of freedom.
+sums over all n! orderings with one cached null per pair of tie
+patterns, and use the standard t approximation above that; partial
+correlations always use the t approximation with the reduced degrees of
+freedom.
 scipy is imported only where a chi-squared or Student-t tail is
 evaluated, so loading this module does not load scipy.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
@@ -139,22 +139,48 @@ def _t_approx_p(rho: float, dof: int) -> float:
     return min(1.0, max(p, _TINY_P))
 
 
-@functools.lru_cache(maxsize=64)
-def _rank_product_null(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Exact null of S = sum_i a_i * b_perm(i) as (S, count) pairs: how many
-    of the n! orderings of ``b`` give each S, by a dynamic program over
-    (mask of the ``b`` entries used so far, partial sum). Neither input's
-    order changes the null, so callers pass both sorted.
+# the trend table's rows share one untied side, the block positions, so one
+# table meets at most 2^(n - 1) tie patterns: keep them all
+@functools.lru_cache(maxsize=2 ** (_EXACT_SPEARMAN_MAX_N - 1))
+def _rank_product_null(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact null of S = sum_i a_i * b_perm(i): the distinct S, ascending,
+    and how many of the n! orderings of ``b`` give each.
+
+    A dynamic program over (how many entries of each tied group of ``b``
+    are used so far, partial sum) places one ``a_i`` per step; each state
+    holds a dense vector of counts over the partial sums. The null is
+    symmetric in the two inputs, so the side with fewer distinct values is
+    grouped. Neither input's order changes the null, so callers pass both
+    sorted.
     """
-    layer = Counter({(0, 0): 1})
+    if len(set(b)) > len(set(a)):
+        a, b = b, a
+    values, sizes = np.unique(b, return_counts=True)
+    strides = np.cumprod(np.r_[1, sizes[:-1] + 1])
+    bound = sum(map(abs, a)) * max(map(abs, b))
+    width = 2 * bound + 1
+    states = np.zeros(1, dtype=np.int64)
+    counts = np.zeros((1, width), dtype=np.int64)
+    counts[0, bound] = 1
     for ai in a:
-        nxt = Counter()
-        for (mask, s), c in layer.items():
-            for j, bj in enumerate(b):
-                if not mask >> j & 1:
-                    nxt[mask | 1 << j, s + ai * bj] += c
-        layer = nxt
-    return tuple((s, c) for (_, s), c in layer.items())
+        room = sizes - states[:, None] // strides % (sizes + 1)
+        nxt_states = np.unique((states[:, None] + strides)[room > 0])
+        nxt = np.zeros((nxt_states.size, width), dtype=np.int64)
+        for k, v in enumerate(values.tolist()):
+            src = room[:, k] > 0
+            rows = np.searchsorted(nxt_states, states[src] + strides[k])
+            # each of the group's unused entries is one more ordering
+            add = counts[src] * room[src, k, None]
+            shift = ai * v
+            if shift >= 0:
+                nxt[rows, shift:] += add[:, : width - shift]
+            else:
+                nxt[rows, :shift] += add[:, -shift:]
+        states, counts = nxt_states, nxt
+    (nonzero,) = np.nonzero(counts[0])
+    sums, freq = nonzero - bound, counts[0, nonzero]
+    sums.flags.writeable = freq.flags.writeable = False
+    return sums, freq
 
 
 def spearman_test(x, y) -> SpearmanResult:
@@ -178,8 +204,8 @@ def spearman_test(x, y) -> SpearmanResult:
         # doubled centred mid-ranks are integers, and |rho| orders as their |S|
         a, b = ((2 * r - (n + 1)).astype(np.int64).tolist() for r in (rx, ry))
         s_obs = abs(sum(ai * bi for ai, bi in zip(a, b)))
-        null = _rank_product_null(tuple(sorted(a)), tuple(sorted(b)))
-        p = sum(c for s, c in null if abs(s) >= s_obs) / math.factorial(n)
+        sums, freq = _rank_product_null(tuple(sorted(a)), tuple(sorted(b)))
+        p = int(freq[np.abs(sums) >= s_obs].sum()) / math.factorial(n)
         method = "exact"
     else:
         p = _t_approx_p(rho, n - 2)

@@ -67,7 +67,7 @@ def fit_models(
 
     p1 = conditional(counts2["VV"], counts2["VC"], "V")
     p0 = conditional(counts2["CV"], counts2["CC"], "C")
-    two = TwoStateModel.from_probs(p=p, p0=p0, p1=p1)
+    two = TwoStateModel(p=p, p0=p0, p1=p1)
     four = FourStateModel(
         p11=conditional(counts3["VVV"], counts3["VVC"], "VV"),
         p10=conditional(counts3["VCV"], counts3["VCC"], "VC"),

@@ -4,13 +4,25 @@ import csv
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from conftest import build_poem
-from vcmarkov import cli
+from vcmarkov import (
+    MbbConfig,
+    autocorrelation,
+    cli,
+    load_layout,
+    load_scheme,
+    mbb_replicate,
+    percentile_interval,
+    sequence_report,
+)
+from vcmarkov.pipeline import load_source
+from vcmarkov.stats import white_noise_band
 
 
 def run_cli(argv):
@@ -141,6 +153,52 @@ def test_acf_outputs(poem_file, layout_file, out_dir):
     assert {int(r["lag"]) for r in banded} <= {1, 2, 3}
     lb = data_rows(os.path.join(out_dir, "ljung_box.csv"))
     assert all(0.0 <= float(r["p_value"]) <= 1.0 for r in lb)
+
+
+def _poem_blocks(poem_file, layout_file):
+    """The poem's 400-symbol blocks, loaded as the single-source commands do."""
+    text = pathlib.Path(poem_file).read_text(encoding="utf-8")
+    src = load_source(
+        text, load_layout(layout_file), load_scheme("ru"),
+        label="poem", block_len=400, min_partial=200,
+    )
+    return [src.segmentation.slice(src.sequence, b) for b in range(len(src.segmentation))]
+
+
+def test_bootstrap_row_rebuilds_from_its_seed_path(poem_file, layout_file, out_dir):
+    assert run_cli([
+        "bootstrap", "--input", poem_file, "--layout", layout_file,
+        "--block-len", "400", "--subblock-len", "50",
+        "--replicates", "6", "--seed", "5", "--out", out_dir,
+    ]) == 0
+    row = data_rows(os.path.join(out_dir, "replicates.csv"))[2 * 6 + 4]
+    assert (row["block"], row["replicate"]) == ("3", "4")
+    x = _poem_blocks(poem_file, layout_file)[2]
+    rep = mbb_replicate(x, MbbConfig(400, 50, 6, master_seed=5), 4, block_index=2)
+    report = sequence_report(rep)
+    assert [float(row[k]) for k in ("md", "cf_simple", "cf_complex")] == [
+        report.md, report.cf_simple, report.cf_complex,
+    ]
+
+
+def test_acf_row_rebuilds_from_its_seed_path(poem_file, layout_file, out_dir):
+    assert run_cli([
+        "acf", "--input", poem_file, "--layout", layout_file,
+        "--block-len", "400", "--subblock-len", "50", "--replicates", "20",
+        "--seed", "8", "--max-lag", "6", "--ci-lags", "3", "--lb-lag", "5",
+        "--out", out_dir,
+    ]) == 0
+    row = data_rows(os.path.join(out_dir, "acf.csv"))[1 * 6 + 1]
+    assert (row["block"], row["lag"]) == ("2", "2")
+    x = _poem_blocks(poem_file, layout_file)[1]
+    cfg = MbbConfig(400, 50, 20, master_seed=8)
+    band = percentile_interval([
+        autocorrelation(mbb_replicate(x, cfg, r, block_index=1), 3).rho[1]
+        for r in range(20)
+    ])
+    assert [float(row[k]) for k in ("rho", "band_lo", "band_hi", "white_noise_hi")] == [
+        autocorrelation(x, 6).rho[1], band.lo, band.hi, white_noise_band(x.size),
+    ]
 
 
 def test_simulate_outputs(poem_file, layout_file, out_dir):
@@ -527,6 +585,38 @@ def test_simulate_rejects_nonpositive_model_block(poem_file, layout_file, tmp_pa
         "--model-block", "0", "--out", str(tmp_path / "o"),
     ])
     assert rc == 2
+
+
+def test_simulate_names_a_model_block_past_the_end_one_based(
+    poem_file, layout_file, tmp_path, capsys
+):
+    rc = run_cli([
+        "simulate", "--input", poem_file, "--layout", layout_file,
+        "--block-len", "400", "--model-block", "99", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "model_block 99 outside 1..7" in capsys.readouterr().err
+
+
+_SINGLE_SOURCE_OPTIONS = {
+    "encode": [],
+    "profile": [],
+    "bootstrap": ["--subblock-len", "50", "--replicates", "4"],
+    "acf": ["--subblock-len", "50", "--replicates", "4"],
+    "simulate": ["--ensemble", "3", "--sim-length", "200"],
+    "probe": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SINGLE_SOURCE_OPTIONS))
+def test_manifest_config_records_every_option(command, poem_file, layout_file, out_dir):
+    argv = [
+        command, "--input", poem_file, "--layout", layout_file, "--block-len", "400",
+        *_SINGLE_SOURCE_OPTIONS[command], "--out", out_dir,
+    ]
+    assert run_cli(argv) == 0
+    options = set(vars(cli.build_parser().parse_args(argv))) - {"command", "out", "seed"}
+    assert set(read_manifest(out_dir)["config"]) == options
 
 
 def test_unknown_subcommand_exits_2():

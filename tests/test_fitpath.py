@@ -93,7 +93,7 @@ def test_fit_errors_equal_the_oracle(text, error):
 
 def _models(p, p0, p1, p11, p00):
     return (
-        TwoStateModel.from_probs(p=p, p0=p0, p1=p1),
+        TwoStateModel(p=p, p0=p0, p1=p1),
         FourStateModel(p11=p11, p10=0.5, p01=0.5, p00=p00),
     )
 

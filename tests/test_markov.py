@@ -111,9 +111,9 @@ def test_fit_requires_every_context():
 
 def test_two_state_validation():
     with pytest.raises(ValueError):
-        TwoStateModel(p=0.5, q=0.5, p0=1.2, q0=-0.2, p1=0.5, q1=0.5)
-    with pytest.raises(ValueError):
-        TwoStateModel(p=0.5, q=0.4, p0=0.5, q0=0.5, p1=0.5, q1=0.5)
+        TwoStateModel(p=0.5, p0=1.2, p1=0.5)
+    two = TwoStateModel(p=0.3, p0=0.6, p1=0.2)
+    assert (two.q, two.q0, two.q1) == (1.0 - 0.3, 1.0 - 0.6, 1.0 - 0.2)
 
 
 def test_four_state_vector_order():
@@ -128,7 +128,7 @@ def test_four_state_vector_order():
 
 def _models(p0, p1, eta, nu, p):
     q0, q1 = 1.0 - p0, 1.0 - p1
-    two = TwoStateModel(p=p, q=1.0 - p, p0=p0, q0=q0, p1=p1, q1=q1)
+    two = TwoStateModel(p=p, p0=p0, p1=p1)
     p11 = p1 + eta * q1
     q00 = q0 + nu * p0
     four = FourStateModel(p11=p11, p10=p1, p01=p0, p00=1.0 - q00)
@@ -200,7 +200,7 @@ def test_dispersion_poles_raise(kwargs):
 
 
 def test_d_pole_raises():
-    two = TwoStateModel(p=0.5, q=0.5, p0=0.0, q0=1.0, p1=1.0, q1=0.0)
+    two = TwoStateModel(p=0.5, p0=0.0, p1=1.0)
     four = FourStateModel(p11=1.0, p10=1.0, p01=0.0, p00=0.0)
     with pytest.raises(DomainError):
         dispersion_report(two, four, 100)
