@@ -440,8 +440,9 @@ def cmd_regress(args, ctx: RunContext) -> None:
         if layouts.get(label):
             inputs.append(layouts[label])
     blocks = blocks_by_label(loaded)
+    rows = regression_rows_from_blocks(blocks, args.which_cf)
     fit = bootstrap_model_coefficients(
-        blocks, _mbb_config(args), level=args.level, which_cf=args.which_cf,
+        blocks, rows, _mbb_config(args), level=args.level, which_cf=args.which_cf,
         baseline=args.baseline,
     )
     manifest = _manifest_for(
@@ -458,7 +459,7 @@ def cmd_regress(args, ctx: RunContext) -> None:
         inputs, {src.label: src.scheme.to_dict() for src in loaded}, {"master_seed": args.seed},
     )
     with _outputs(args, manifest) as out:
-        _write_regression(out, fit, regression_rows_from_blocks(blocks, args.which_cf))
+        _write_regression(out, fit, rows)
 
 
 def cmd_probe(args, ctx: RunContext) -> None:

@@ -33,12 +33,20 @@ self-correcting stream.
 A fit counts a sequence's overlapping trigrams once. The bigram counts
 are their prefix sums plus the final bigram, the vowel count is the symbol
 sum, and nothing is smoothed: a context that never occurs is an error.
+
+The fit and the closed forms are written once, over columns of R fits.
+A single sequence is one row. A concatenation of equal subblocks, as a
+bootstrap replicate is, is fitted without assembling it: its trigram
+counts are the summed counts inside its subblocks plus the windows that
+cross a junction between two of them, and its vowel count is the sum of
+its subblocks' (:func:`concatenation_reports`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from itertools import chain, islice
+from typing import Iterable, Literal, Optional, Union
 
 import numpy as np
 
@@ -153,41 +161,81 @@ class FourStateModel:
         return np.array([self.p00, self.p01, self.p10, self.p11], dtype=float)
 
 
-def _conditional(cv: int, cc: int, context: str) -> float:
-    denom = cv + cc
-    if denom == 0:
-        raise ZeroContextError(context)
-    return cv / denom
+# the contexts of the six conditional probabilities, in the order their
+# absence is reported, and where their counts sit in the bigram counts
+# (0-3) followed by the trigram counts (4-11): the code that ends in V,
+# and one less, the code that ends in C
+_CONTEXTS = ("V", "C", "VV", "VC", "CV", "CC")
+_THEN_V = np.array([3, 1, 11, 9, 7, 5])
+_THEN_C = _THEN_V - 1
 
 
-def _fit(x: np.ndarray) -> tuple[float, float, float, float, float, float, float]:
-    """Maximum-likelihood (p, p0, p1, p11, p10, p01, p00) of ``x``.
+def _first_failure(checks):
+    """The first row that fails a check, with the error it raises, or None.
+
+    ``checks`` are (mask over rows, error for row i) pairs in the order one
+    fit or report tests them, so a row's error is that of its first failed
+    check. For one row, given as numpy scalars, the row index is ``()``.
+    """
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if not failing.any():
+        return None
+    i = int(failing.argmax()) if failing.ndim else ()
+    return i, next(error(i) for mask, error in checks if mask[i])
+
+
+def _raise_failure(checks) -> None:
+    failure = _first_failure(checks)
+    if failure is not None:
+        raise failure[1]
+
+
+def _check_length(n: int) -> None:
+    if n < 3:
+        raise DomainError(f"sequence of length {n} has no windows of order {n + 1}")
+
+
+def _fit(tri: np.ndarray, final, vowels, n: int):
+    """Maximum-likelihood (p, p0, p1, p11, p10, p01, p00) of length-n sequences.
+
+    ``tri`` holds trigram counts on its last axis: (R, 8) for R rows, whose
+    final bigram codes and vowel counts are ``final`` and ``vowels``, or (8,)
+    for one row, whose probabilities are then numpy scalars. The bigram
+    counts are the trigram prefix sums plus the final bigram. Returns the
+    columns and the checks for contexts that never occur, V and C before
+    VV, VC, CV, CC: such a row raises :class:`ZeroContextError` naming it.
+    """
+    bigrams = tri[..., 0::2] + tri[..., 1::2] + (np.asarray(final)[..., None] == np.arange(4))
+    counts = np.concatenate([bigrams, tri], axis=-1)
+    then_v = counts[..., _THEN_V]
+    seen = then_v + counts[..., _THEN_C]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1, p0, p11, p10, p01, p00 = (then_v / seen).T
+    zero = (seen == 0).T
+    checks = [
+        (zero[k], lambda i, context=context: ZeroContextError(context))
+        for k, context in enumerate(_CONTEXTS)
+    ]
+    return (vowels / n, p0, p1, p11, p10, p01, p00), checks
+
+
+def _sequence_fit(x: np.ndarray):
+    """:func:`_fit` of one sequence."""
+    _check_length(x.size)
+    final = 2 * int(x[-2]) + int(x[-1])
+    return _fit(count_ngrams(x, 3).freq, final, x.sum(dtype=np.int64), x.size)
+
+
+def fit_sequence(seq: Union[SymbolSequence, np.ndarray]) -> tuple[TwoStateModel, FourStateModel]:
+    """Fit both models on a sequence from one trigram count.
 
     Too few symbols for some order up to 3 is a :class:`DomainError` naming
     the lowest such order; a context that never occurs raises
     :class:`ZeroContextError` naming it, V and C before VV, VC, CV, CC.
     """
-    n = x.size
-    if n < 3:
-        raise DomainError(f"sequence of length {n} has no windows of order {n + 1}")
-    f = count_ngrams(x, 3).freq.tolist()
-    bigrams = [f[0] + f[1], f[2] + f[3], f[4] + f[5], f[6] + f[7]]
-    bigrams[2 * int(x[-2]) + int(x[-1])] += 1
-    p = int(x.sum()) / n
-    p1 = _conditional(bigrams[3], bigrams[2], "V")
-    p0 = _conditional(bigrams[1], bigrams[0], "C")
-    return (
-        p, p0, p1,
-        _conditional(f[7], f[6], "VV"),
-        _conditional(f[5], f[4], "VC"),
-        _conditional(f[3], f[2], "CV"),
-        _conditional(f[1], f[0], "CC"),
-    )
-
-
-def fit_sequence(seq: Union[SymbolSequence, np.ndarray]) -> tuple[TwoStateModel, FourStateModel]:
-    """Fit both models on a sequence from one trigram count."""
-    p, p0, p1, p11, p10, p01, p00 = _fit(_as_symbol_array(seq))
+    columns, checks = _sequence_fit(_as_symbol_array(seq))
+    _raise_failure(checks)
+    p, p0, p1, p11, p10, p01, p00 = map(float, columns)
     two = TwoStateModel(p=p, p0=p0, p1=p1)
     return two, FourStateModel(p11=p11, p10=p10, p01=p01, p00=p00)
 
@@ -206,45 +254,58 @@ class DispersionReport:
     which_cf: WhichCF
 
 
-def _dispersion(
-    p: float, p0: float, p1: float, p11: float, p00: float, n: int, which_cf: WhichCF
-) -> DispersionReport:
+def _dispersion(p, p0, p1, p11, p00, n: int, which_cf: WhichCF):
+    """The closed forms over columns of fits of length-n sequences.
+
+    The columns are arrays over rows, or numpy scalars for one row; every
+    row takes the same float operations in the same order. Returns the
+    columns of :class:`DispersionReport` by field name and the checks for
+    poles, in the order a report raises them.
+    """
     if which_cf not in ("simple", "complex"):
         raise ValueError(f"which_cf must be 'simple' or 'complex', got {which_cf!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    q, q0, q1, q00 = 1.0 - p, 1.0 - p0, 1.0 - p1, 1.0 - p00
-    d = p1 - p0
-    if d >= 1.0 - _POLE_TOL:
-        raise DomainError(f"dispersion pole: d = p1 - p0 = {d} is at or above 1")
-    if q1 <= 0.0:
-        raise DomainError("eta undefined: q1 = P(C | V) is zero")
-    if p0 <= 0.0:
-        raise DomainError("nu undefined: p0 = P(V | C) is zero")
-    eta = (p11 - p1) / q1
-    nu = (q00 - q0) / p0
-    if eta >= 1.0 - _POLE_TOL:
-        raise DomainError(f"dispersion pole: eta = {eta} is at or above 1")
-    if nu >= 1.0 - _POLE_TOL:
-        raise DomainError(f"dispersion pole: nu = {nu} is at or above 1")
-    cf_simple = (1.0 + d) / (1.0 - d)
-    cf_complex = (
-        0.5 * ((1.0 + eta) / (1.0 - eta) + (1.0 + nu) / (1.0 - nu)) * cf_simple
-        + (q - p) * (nu - eta) / ((1.0 - eta) * (1.0 - nu))
-    )
-    cf = cf_simple if which_cf == "simple" else cf_complex
-    var_independent = p * q / n
+    with np.errstate(all="ignore"):
+        q, q0, q1, q00 = 1.0 - p, 1.0 - p0, 1.0 - p1, 1.0 - p00
+        d = p1 - p0
+        eta = (p11 - p1) / q1
+        nu = (q00 - q0) / p0
+        cf_simple = (1.0 + d) / (1.0 - d)
+        cf_complex = (
+            0.5 * ((1.0 + eta) / (1.0 - eta) + (1.0 + nu) / (1.0 - nu)) * cf_simple
+            + (q - p) * (nu - eta) / ((1.0 - eta) * (1.0 - nu))
+        )
+        cf = cf_simple if which_cf == "simple" else cf_complex
+        var_independent = p * q / n
+        columns = {
+            "d": d,
+            "eta": eta,
+            "nu": nu,
+            "cf_simple": cf_simple,
+            "cf_complex": cf_complex,
+            "md": 1.0 - cf,
+            "var_independent": var_independent,
+            "var_dependent": cf * var_independent,
+        }
+    checks = [
+        (d >= 1.0 - _POLE_TOL, lambda i: DomainError(
+            f"dispersion pole: d = p1 - p0 = {float(d[i])} is at or above 1")),
+        (q1 <= 0.0, lambda i: DomainError("eta undefined: q1 = P(C | V) is zero")),
+        (p0 <= 0.0, lambda i: DomainError("nu undefined: p0 = P(V | C) is zero")),
+        (eta >= 1.0 - _POLE_TOL, lambda i: DomainError(
+            f"dispersion pole: eta = {float(eta[i])} is at or above 1")),
+        (nu >= 1.0 - _POLE_TOL, lambda i: DomainError(
+            f"dispersion pole: nu = {float(nu[i])} is at or above 1")),
+    ]
+    return columns, checks
+
+
+def _report(columns, checks, n: int, which_cf: WhichCF) -> DispersionReport:
+    """The report of a one-row :func:`_dispersion`, in Python floats."""
+    _raise_failure(checks)
     return DispersionReport(
-        d=d,
-        eta=eta,
-        nu=nu,
-        cf_simple=cf_simple,
-        cf_complex=cf_complex,
-        md=1.0 - cf,
-        var_independent=var_independent,
-        var_dependent=cf * var_independent,
-        n=n,
-        which_cf=which_cf,
+        **{name: float(value) for name, value in columns.items()}, n=n, which_cf=which_cf
     )
 
 
@@ -258,7 +319,8 @@ def dispersion_report(
     :class:`DomainError` naming the offending quantity. The complements
     are taken as 1 - p of the models' probabilities.
     """
-    return _dispersion(two.p, two.p0, two.p1, four.p11, four.p00, n, which_cf)
+    p, p0, p1, p11, p00 = map(np.float64, (two.p, two.p0, two.p1, four.p11, four.p00))
+    return _report(*_dispersion(p, p0, p1, p11, p00, n, which_cf), n, which_cf)
 
 
 def sequence_report(
@@ -266,8 +328,85 @@ def sequence_report(
 ) -> DispersionReport:
     """Fit a sequence from one trigram count and build its dispersion report."""
     x = _as_symbol_array(seq)
-    p, p0, p1, p11, _, _, p00 = _fit(x)
-    return _dispersion(p, p0, p1, p11, p00, x.size, which_cf)
+    (p, p0, p1, p11, _, _, p00), checks = _sequence_fit(x)
+    _raise_failure(checks)
+    return _report(*_dispersion(p, p0, p1, p11, p00, x.size, which_cf), x.size, which_cf)
+
+
+# draws counted together: bounds the temporaries when a block is cut into
+# many short subblocks
+_CHUNK = 1 << 16
+
+
+def concatenation_reports(
+    candidates: np.ndarray, draws: Iterable[np.ndarray], which_cf: WhichCF = "complex"
+) -> tuple[dict[str, np.ndarray], Optional[tuple[int, Exception]]]:
+    """Dispersion columns of concatenations of equal-length subblocks.
+
+    ``draws`` yields one array of indices into the rows of ``candidates``
+    per sequence, at least one, all of one length: sequence i is
+    ``candidates[draws_i].reshape(-1)``. It is fitted without being built:
+    its trigram counts are the windows inside its subblocks, counted once
+    per candidate, plus the windows that cross a junction between two
+    draws; its vowel count is its subblocks' sum and its final bigram is
+    read from its last draws. The draws are read a chunk at a time, so
+    memory stays bounded however many there are.
+
+    Returns the columns of :class:`DispersionReport` by field name, equal
+    to what :func:`sequence_report` gives sequence by sequence, and the
+    first sequence that fails, with the error its report would raise (None
+    if none fails). Sequences shorter than three symbols raise at once.
+    """
+    candidates = np.asarray(candidates, dtype=np.uint8)
+    draws = iter(draws)
+    first = next(draws)
+    n = first.size * candidates.shape[1]
+    _check_length(n)
+    # windows inside each candidate, and its vowels: one row per candidate
+    inside = (candidates[:, :-2] << 2) | (candidates[:, 1:-1] << 1) | candidates[:, 2:]
+    table = np.column_stack([
+        _row_counts(inside, 8), candidates.sum(axis=1, dtype=np.int64),
+    ])
+    draws = chain([first], draws)
+    rows = max(1, _CHUNK // first.size)
+    parts = []
+    while chunk := list(islice(draws, rows)):
+        parts.append(_draw_counts(candidates, table, np.array(chunk)))
+    tri, final, vowels = (np.concatenate(column) for column in zip(*parts))
+    (p, p0, p1, p11, _, _, p00), fit_checks = _fit(tri, final, vowels, n)
+    columns, checks = _dispersion(p, p0, p1, p11, p00, n, which_cf)
+    return columns, _first_failure(fit_checks + checks)
+
+
+def _draw_counts(candidates: np.ndarray, table: np.ndarray, draws: np.ndarray):
+    """Trigram counts, final bigram codes and vowel counts of the
+    concatenations of the rows of ``draws``."""
+    m, sub = draws.shape[1], candidates.shape[1]
+    n = m * sub
+    counts = _row_counts(draws, len(table)) @ table
+    tri, vowels = counts[:, :8], counts[:, 8]
+    # a window starting at offset o of a draw ends (o + 2) // sub draws later;
+    # for o < sub - 2 it stays inside its subblock. at[offset] holds the
+    # symbol at that offset of every draw
+    starts = range(max(sub - 2, 0), sub)
+    at = {k % sub: candidates[:, k % sub][draws] for o in starts for k in range(o, o + 3)}
+    for o in starts:
+        span = (o + 2) // sub
+        code = 0
+        for k in range(o, o + 3):
+            shift = k // sub
+            code = (code << 1) | at[k % sub][:, shift : m - span + shift]
+        tri = tri + _row_counts(code, 8)
+    (j0, o0), (j1, o1) = divmod(n - 2, sub), divmod(n - 1, sub)
+    final = 2 * at[o0][:, j0].astype(np.int64) + at[o1][:, j1]
+    return tri, final, vowels
+
+
+def _row_counts(codes: np.ndarray, size: int) -> np.ndarray:
+    """Per row of ``codes``, how often each of the values 0..size-1 occurs."""
+    rows = codes.shape[0]
+    offsets = size * np.arange(rows, dtype=np.int64)[:, None]
+    return np.bincount((codes + offsets).ravel(), minlength=rows * size).reshape(rows, size)
 
 
 def stationary_bigram_distribution(model: FourStateModel) -> np.ndarray:

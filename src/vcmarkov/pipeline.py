@@ -20,6 +20,7 @@ from .encoding import BlockSegmentation, SymbolSequence, encode_text, segment_bl
 from .errors import DataError
 from .markov import (
     WhichCF,
+    concatenation_reports,
     count_ngrams,
     fit_sequence,
     dispersion_report,
@@ -33,6 +34,8 @@ from .resample import (
     derived_rng,
     mbb_replicate,
     percentile_interval,
+    replicate_symbols,
+    subblocks,
 )
 from .schemes import EncodingScheme
 from .stats import autocorrelation, ljung_box_test, partial_spearman, white_noise_band
@@ -148,13 +151,19 @@ def bootstrap_blocks(
     for b in range(len(source.segmentation)):
         x = source.segmentation.slice(source.sequence, b)
         point = sequence_report(x, which_cf=which_cf)
-        samples = []
-        for r in range(cfg.n_replicates):
-            rep = mbb_replicate(x, cfg, r, block_index=b, source_index=source_index)
-            report = sequence_report(rep, which_cf=which_cf)
-            samples.append((report.md, report.cf_simple, report.cf_complex))
-            replicates.append((source.label, b + 1, r, *samples[-1]))
-        for statistic, values in zip(BOOTSTRAP_STATISTICS, zip(*samples)):
+        candidates = subblocks(x, cfg.subblock_len)
+        draws = (
+            mbb_replicate(x, cfg, r, block_index=b, source_index=source_index)
+            for r in range(cfg.n_replicates)
+        )
+        columns, failure = concatenation_reports(candidates, draws, which_cf)
+        if failure is not None:
+            raise failure[1]
+        samples = [columns[statistic].tolist() for statistic in BOOTSTRAP_STATISTICS]
+        replicates.extend(zip(
+            repeat(source.label), repeat(b + 1), range(cfg.n_replicates), *samples
+        ))
+        for statistic, values in zip(BOOTSTRAP_STATISTICS, samples):
             iv = percentile_interval(values, level)
             intervals.append((
                 source.label, b + 1, statistic, getattr(point, statistic),
@@ -192,10 +201,11 @@ def acf_blocks(
         x = source.segmentation.slice(source.sequence, b)
         acf = autocorrelation(x, max_lag)
         lb = ljung_box_test(acf, lb_h)
+        candidates = subblocks(x, cfg.subblock_len)
         reps = np.empty((cfg.n_replicates, ci_lags))
         for r in range(cfg.n_replicates):
-            rep = mbb_replicate(x, cfg, r, block_index=b, source_index=source_index)
-            reps[r] = autocorrelation(rep, ci_lags).rho
+            draws = mbb_replicate(x, cfg, r, block_index=b, source_index=source_index)
+            reps[r] = autocorrelation(replicate_symbols(candidates, draws), ci_lags).rho
         band = [percentile_interval(reps[:, k], level) for k in range(ci_lags)]
         white_noise = white_noise_band(x.size)
         for i, (lag, rho) in enumerate(zip(acf.lags.tolist(), acf.rho.tolist())):

@@ -6,6 +6,11 @@ names the consumer (bootstrap, surrogate, simulation) and the path is the
 (source, block, replicate) coordinate of the draw. Replicates are therefore
 independent of the order in which they are computed, and two runs with the
 same master seed agree bit for bit.
+
+A bootstrap replicate is its draws: the indices of the block's subblocks
+that :func:`mbb_replicate` picks. Its symbols, when a statistic needs
+them, are those subblocks concatenated (:func:`replicate_symbols`); the
+model fits read only its summed subblock counts.
 """
 
 from __future__ import annotations
@@ -56,6 +61,26 @@ class MbbConfig:
             raise ValueError("master_seed must be non-negative")
 
 
+def subblocks(block: Union[SymbolSequence, np.ndarray], subblock_len: int) -> np.ndarray:
+    """The block's consecutive non-overlapping subblocks, one per row.
+
+    Cutting starts at the block's first symbol; a tail shorter than one
+    subblock is not a candidate. The result is an (m, subblock_len) view.
+    """
+    x = block.symbols if isinstance(block, SymbolSequence) else np.asarray(block)
+    m = x.size // subblock_len
+    if m < 1:
+        raise DomainError(
+            f"block of {x.size} symbols is shorter than one subblock of {subblock_len}"
+        )
+    return x[: m * subblock_len].reshape(m, subblock_len)
+
+
+def replicate_symbols(candidates: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The symbols of a replicate: its drawn subblocks, concatenated."""
+    return candidates[draws].reshape(-1)
+
+
 def mbb_replicate(
     block: Union[SymbolSequence, np.ndarray],
     cfg: MbbConfig,
@@ -64,26 +89,18 @@ def mbb_replicate(
     block_index: int = 0,
     source_index: int = 0,
 ) -> np.ndarray:
-    """One bootstrap replicate of a block.
+    """One bootstrap replicate of a block, as the indices of its draws.
 
-    The block is cut into consecutive non-overlapping subblocks starting at
-    its first symbol (a short tail is not a candidate); m of them are drawn
-    with replacement and concatenated, so the replicate length is m times
-    the subblock length.
+    m of the block's m :func:`subblocks` are drawn with replacement; the
+    replicate is their concatenation (:func:`replicate_symbols`), m times
+    the subblock length long. The draws come from the replicate's own
+    seed path, so any replicate can be rebuilt alone.
     """
-    x = block.symbols if isinstance(block, SymbolSequence) else np.asarray(block)
-    sub = cfg.subblock_len
-    m = x.size // sub
-    if m < 1:
-        raise DomainError(
-            f"block of {x.size} symbols is shorter than one subblock of {sub}"
-        )
-    candidates = x[: m * sub].reshape(m, sub)
+    m = len(subblocks(block, cfg.subblock_len))
     rng = derived_rng(
         cfg.master_seed, STREAM_MBB, source_index, block_index, replicate_index
     )
-    draws = rng.integers(0, m, size=m)
-    return candidates[draws].reshape(-1)
+    return rng.integers(0, m, size=m)
 
 
 def make_surrogate(

@@ -20,8 +20,8 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .markov import WhichCF, sequence_report
-from .resample import Interval, MbbConfig, mbb_replicate, percentile_interval
+from .markov import WhichCF, concatenation_reports, sequence_report
+from .resample import Interval, MbbConfig, mbb_replicate, percentile_interval, subblocks
 
 _EXACT_SPEARMAN_MAX_N = 10
 _TINY_P = 5e-324
@@ -341,6 +341,7 @@ def regression_rows_from_blocks(
 
 def bootstrap_model_coefficients(
     blocks_per_source: Mapping[str, Sequence],
+    rows: Sequence[tuple[float, float, str]],
     cfg: MbbConfig,
     *,
     level: float = 0.95,
@@ -349,26 +350,46 @@ def bootstrap_model_coefficients(
 ) -> RegressionFit:
     """Interaction fit plus block-bootstrap percentile intervals.
 
-    Every replicate rebuilds all blocks of all sources with the block
-    bootstrap, recomputes the per-block memory depths, and refits, so the
-    intervals carry both the within-block estimation noise and its effect
-    on the fitted slopes. Replicate r of block b of source s draws from the
-    seed path (master, stream, s, b, r); sources are indexed in sorted
-    label order.
+    ``rows`` are the blocks' point rows from
+    :func:`regression_rows_from_blocks`. Every replicate rebuilds all
+    blocks of all sources with the block bootstrap, recomputes the
+    per-block memory depths, and refits, so the intervals carry both the
+    within-block estimation noise and its effect on the fitted slopes.
+    Replicate r of block b of source s draws from the seed path (master,
+    stream, s, b, r); sources are indexed in sorted label order. The
+    replicates of one block are fitted together from summed subblock
+    counts; a failing replicate raises the error of the first failure in
+    replicate, then source, then block order.
     """
-    point = fit_interaction_model(
-        regression_rows_from_blocks(blocks_per_source, which_cf), baseline=baseline
-    )
+    point = fit_interaction_model(rows, baseline=baseline)
+    md = np.empty((cfg.n_replicates, len(rows)))
+    first = None
+    column = 0
+    for si, label in enumerate(sorted(blocks_per_source)):
+        for bi, block in enumerate(blocks_per_source[label]):
+            try:
+                candidates = subblocks(block, cfg.subblock_len)
+                draws = (
+                    mbb_replicate(block, cfg, r, block_index=bi, source_index=si)
+                    for r in range(cfg.n_replicates)
+                )
+                columns, failure = concatenation_reports(candidates, draws, which_cf)
+            except DomainError as exc:
+                # a block too short to resample or to fit fails from replicate 0 on
+                failure = (0, exc)
+            if failure is None:
+                md[:, column] = columns["md"]
+            elif first is None or failure[0] < first[0]:
+                first = failure
+            column += 1
+    if first is not None:
+        raise first[1]
     sample_store = {name: np.empty(cfg.n_replicates) for name in COEFFICIENT_NAMES}
-    labels = sorted(blocks_per_source)
-    for r in range(cfg.n_replicates):
-        rows = []
-        for si, label in enumerate(labels):
-            for bi, block in enumerate(blocks_per_source[label]):
-                rep = mbb_replicate(block, cfg, r, block_index=bi, source_index=si)
-                md = sequence_report(rep, which_cf=which_cf).md
-                rows.append((md, float(bi + 1), label))
-        fit_r = fit_interaction_model(rows, baseline=point.baseline)
+    for r, replicate_md in enumerate(md.tolist()):
+        fit_r = fit_interaction_model(
+            [(value, block, label) for value, (_, block, label) in zip(replicate_md, rows)],
+            baseline=point.baseline,
+        )
         for name in COEFFICIENT_NAMES:
             sample_store[name][r] = fit_r.coefficients[name]
     summaries = {

@@ -39,12 +39,19 @@ from vcmarkov.pipeline import (
     profile_rows,
 )
 from vcmarkov.probes import PATTERNS, categorize_matches, load_annotation_csv
-from vcmarkov.resample import derived_rng, make_surrogate, mbb_replicate
+from vcmarkov.resample import (
+    derived_rng,
+    make_surrogate,
+    mbb_replicate,
+    replicate_symbols,
+    subblocks,
+)
 from vcmarkov.stats import (
     autocorrelation,
     bootstrap_model_coefficients,
     fit_interaction_model,
     ljung_box_test,
+    regression_rows_from_blocks,
 )
 
 CORPUS_DIR = os.environ.get("VCMARKOV_CORPUS_DIR")
@@ -103,7 +110,7 @@ def test_mbb_relative_spread_within_ten_percent(fixture_chain):
     cfg = MbbConfig(10_000, 250, 1_000, master_seed=11)
     values = np.empty(cfg.n_replicates)
     for r in range(cfg.n_replicates):
-        rep = mbb_replicate(block, cfg, r)
+        rep = replicate_symbols(subblocks(block, 250), mbb_replicate(block, cfg, r))
         values[r] = sequence_report(rep).cf_complex
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     assert med > 0
@@ -154,8 +161,10 @@ def test_injected_trend_is_detected_on_raw_blocks():
     """Positive control for the surrogate test: the slopes really differ."""
     hits = 0
     for run in range(20):
+        blocks = _trended_blocks(run)
         fit = bootstrap_model_coefficients(
-            _trended_blocks(run), MbbConfig(2000, 100, 250, master_seed=run)
+            blocks, regression_rows_from_blocks(blocks),
+            MbbConfig(2000, 100, 250, master_seed=run),
         )
         iv = fit.bootstrap["interaction"].interval
         if iv.hi < 0 or iv.lo > 0:
@@ -175,7 +184,8 @@ def test_surrogates_destroy_injected_trend():
                 surr[b * 2000:(b + 1) * 2000] for b in range(5)
             ]
         fit = bootstrap_model_coefficients(
-            shuffled, MbbConfig(2000, 100, 250, master_seed=run)
+            shuffled, regression_rows_from_blocks(shuffled),
+            MbbConfig(2000, 100, 250, master_seed=run),
         )
         iv = fit.bootstrap["interaction"].interval
         if iv.lo <= 0.0 <= iv.hi:
@@ -234,8 +244,9 @@ def pipeline():
         }
         for label, src in sources.items()
     }
+    blocks = blocks_by_label(list(sources.values()))
     fit = bootstrap_model_coefficients(
-        blocks_by_label(list(sources.values())),
+        blocks, regression_rows_from_blocks(blocks),
         MbbConfig(10_000, 250, 1_000, master_seed=0),
         baseline="ru",
     )

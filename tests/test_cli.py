@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import build_poem
+from poems import build_poem
 from vcmarkov import (
     MbbConfig,
     autocorrelation,
@@ -22,6 +22,7 @@ from vcmarkov import (
     sequence_report,
 )
 from vcmarkov.pipeline import load_source
+from vcmarkov.resample import replicate_symbols, subblocks
 from vcmarkov.stats import white_noise_band
 
 
@@ -174,8 +175,8 @@ def test_bootstrap_row_rebuilds_from_its_seed_path(poem_file, layout_file, out_d
     row = data_rows(os.path.join(out_dir, "replicates.csv"))[2 * 6 + 4]
     assert (row["block"], row["replicate"]) == ("3", "4")
     x = _poem_blocks(poem_file, layout_file)[2]
-    rep = mbb_replicate(x, MbbConfig(400, 50, 6, master_seed=5), 4, block_index=2)
-    report = sequence_report(rep)
+    draws = mbb_replicate(x, MbbConfig(400, 50, 6, master_seed=5), 4, block_index=2)
+    report = sequence_report(replicate_symbols(subblocks(x, 50), draws))
     assert [float(row[k]) for k in ("md", "cf_simple", "cf_complex")] == [
         report.md, report.cf_simple, report.cf_complex,
     ]
@@ -193,7 +194,9 @@ def test_acf_row_rebuilds_from_its_seed_path(poem_file, layout_file, out_dir):
     x = _poem_blocks(poem_file, layout_file)[1]
     cfg = MbbConfig(400, 50, 20, master_seed=8)
     band = percentile_interval([
-        autocorrelation(mbb_replicate(x, cfg, r, block_index=1), 3).rho[1]
+        autocorrelation(
+            replicate_symbols(subblocks(x, 50), mbb_replicate(x, cfg, r, block_index=1)), 3
+        ).rho[1]
         for r in range(20)
     ])
     assert [float(row[k]) for k in ("rho", "band_lo", "band_hi", "white_noise_hi")] == [
@@ -617,6 +620,33 @@ def test_manifest_config_records_every_option(command, poem_file, layout_file, o
     assert run_cli(argv) == 0
     options = set(vars(cli.build_parser().parse_args(argv))) - {"command", "out", "seed"}
     assert set(read_manifest(out_dir)["config"]) == options
+
+
+# `regress --source` writes its config from a hand-written key list; these
+# options are recorded under another name. --blocks selects the other mode
+# and --seed is recorded with the seeds.
+_REGRESS_MANIFEST_KEYS = {"source": "sources", "layout": "layouts"}
+
+
+def test_regress_manifest_config_records_every_option(
+    poem_file, layout_file, tmp_path, out_dir
+):
+    other = tmp_path / "other.txt"
+    other.write_text(build_poem(seed=456), encoding="utf-8")
+    argv = [
+        "regress", "--source", f"aa={poem_file}", "--source", f"bb={other}",
+        "--layout", f"aa={layout_file}", "--scheme-map", "bb=ru",
+        "--block-len", "400", "--subblock-len", "50", "--replicates", "4",
+        "--seed", "3", "--out", out_dir,
+    ]
+    assert run_cli(argv) == 0
+    manifest = read_manifest(out_dir)
+    options = set(vars(cli.build_parser().parse_args(argv))) - {"command", "out", "seed", "blocks"}
+    assert set(manifest["config"]) == {_REGRESS_MANIFEST_KEYS.get(o, o) for o in options}
+    assert manifest["seeds"] == {"master_seed": 3}
+    assert manifest["config"]["sources"] == {"aa": poem_file, "bb": str(other)}
+    assert manifest["config"]["layouts"] == {"aa": layout_file}
+    assert manifest["config"]["scheme_map"] == {"bb": "ru"}
 
 
 def test_unknown_subcommand_exits_2():

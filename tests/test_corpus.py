@@ -12,7 +12,7 @@ from vcmarkov.corpus import (
 )
 from vcmarkov.errors import ParseError
 
-from conftest import NUMBERED_LAYOUT, build_poem, format_roman
+from poems import NUMBERED_LAYOUT, build_poem, format_roman
 
 
 # ------------------------------------------------------------ roman numerals

@@ -24,7 +24,7 @@ from vcmarkov.markov import (
 )
 
 import fit_oracle as oracle
-from conftest import build_poem
+from poems import build_poem
 
 
 def outcome(fn, *args):

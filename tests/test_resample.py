@@ -14,6 +14,8 @@ from vcmarkov.resample import (
     STREAM_SURROGATE,
     Interval,
     percentile_interval,
+    replicate_symbols,
+    subblocks,
 )
 
 
@@ -61,12 +63,14 @@ def test_mbb_replicate_shape_and_content():
     rng = np.random.default_rng(5)
     block = (rng.random(1000) < 0.4).astype(np.uint8)
     cfg = MbbConfig(block_len=1000, subblock_len=100, n_replicates=4, master_seed=9)
-    rep = mbb_replicate(block, cfg, 0)
+    draws = mbb_replicate(block, cfg, 0)
+    assert draws.shape == (10,)
+    assert 0 <= draws.min() and draws.max() < 10
+    rep = replicate_symbols(subblocks(block, 100), draws)
     assert rep.shape == (1000,)
-    # every output subblock is one of the ten candidate subblocks
-    candidates = {tuple(block[i * 100:(i + 1) * 100]) for i in range(10)}
-    for j in range(10):
-        assert tuple(rep[j * 100:(j + 1) * 100]) in candidates
+    # output subblock j is candidate subblock draws[j]
+    for j, d in enumerate(draws.tolist()):
+        assert np.array_equal(rep[j * 100:(j + 1) * 100], block[d * 100:(d + 1) * 100])
 
 
 def test_mbb_replicates_differ_and_repeat():
@@ -102,16 +106,22 @@ def test_mbb_distinct_block_and_source_streams():
 def test_mbb_partial_block_uses_its_own_size():
     block = (np.random.default_rng(6).random(370) < 0.5).astype(np.uint8)
     cfg = MbbConfig(block_len=1000, subblock_len=100, n_replicates=3, master_seed=2)
-    rep = mbb_replicate(block, cfg, 0)
-    # 370 // 100 = 3 candidate subblocks -> output 300 symbols
-    assert rep.shape == (300,)
+    draws = mbb_replicate(block, cfg, 0)
+    # 370 // 100 = 3 candidate subblocks -> three draws, 300 symbols
+    assert draws.shape == (3,) and draws.max() < 3
+    candidates = subblocks(block, 100)
+    assert candidates.shape == (3, 100)
+    assert np.array_equal(candidates.reshape(-1), block[:300])
+    assert replicate_symbols(candidates, draws).shape == (300,)
 
 
 def test_mbb_block_shorter_than_subblock():
     block = np.zeros(40, dtype=np.uint8)
     cfg = MbbConfig(block_len=1000, subblock_len=100, n_replicates=3, master_seed=2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="shorter than one subblock"):
         mbb_replicate(block, cfg, 0)
+    with pytest.raises(DomainError, match="shorter than one subblock"):
+        subblocks(block, 100)
 
 
 # ------------------------------------------------------------ surrogates

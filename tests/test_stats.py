@@ -397,8 +397,9 @@ def test_bootstrap_model_coefficients_deterministic(fixture_chain):
         "bb": [seq.symbols[4000:6000], seq.symbols[6000:8000]],
     }
     cfg = MbbConfig(block_len=2000, subblock_len=100, n_replicates=40, master_seed=3)
-    fit1 = bootstrap_model_coefficients(blocks, cfg, level=0.9)
-    fit2 = bootstrap_model_coefficients(blocks, cfg, level=0.9)
+    rows = regression_rows_from_blocks(blocks)
+    fit1 = bootstrap_model_coefficients(blocks, rows, cfg, level=0.9)
+    fit2 = bootstrap_model_coefficients(blocks, rows, cfg, level=0.9)
     for name in COEFFICIENT_NAMES:
         assert np.array_equal(fit1.bootstrap[name].samples, fit2.bootstrap[name].samples)
         iv = fit1.bootstrap[name].interval

@@ -18,7 +18,7 @@ from vcmarkov.errors import UnknownCharacterError
 from vcmarkov.probes import scan_pattern_class
 
 import textpath_oracle as oracle
-from conftest import NUMBERED_LAYOUT, build_poem
+from poems import NUMBERED_LAYOUT, build_poem
 
 # a scheme that tells upper from lower case and knows a few letters the
 # default scheme does not (the dotted capital I among them, whose lower
