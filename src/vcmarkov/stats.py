@@ -227,7 +227,9 @@ def partial_spearman(
     All variables are rank-transformed; x and y ranks are residualized on
     the control ranks (with intercept) and the residuals are correlated.
     The p-value is a t approximation with n - 2 - k degrees of freedom.
-    With no controls this is exactly :func:`spearman_test`.
+    With no controls this is exactly :func:`spearman_test`. Collinear
+    control ranks, or x or y ranks that are a linear function of them
+    (zero residual variance), raise :class:`DomainError`.
     """
     controls = list(controls)
     if not controls:
@@ -250,6 +252,14 @@ def partial_spearman(
     Z = np.column_stack([np.ones(n)] + [midranks(c) for c in ctrl])
     if np.linalg.matrix_rank(Z) < Z.shape[1]:
         raise DomainError("control ranks are collinear; partial correlation undefined")
+    # a rank-linear function of the controls leaves a zero residual, which
+    # lstsq returns as rounding noise: say so rather than correlate the noise
+    for label, ranks in (("x", rx), ("y", ry)):
+        if np.linalg.matrix_rank(np.column_stack([Z, ranks])) <= Z.shape[1]:
+            raise DomainError(
+                f"{label} ranks are a linear function of the control ranks; "
+                "partial correlation undefined"
+            )
     res_x = _residualize(rx, Z)
     res_y = _residualize(ry, Z)
     rho = _pearson(res_x, res_y)

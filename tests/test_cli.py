@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -588,6 +589,33 @@ def test_simulate_rejects_nonpositive_model_block(poem_file, layout_file, tmp_pa
         "--model-block", "0", "--out", str(tmp_path / "o"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--ensemble", "0"), ("--ensemble", "1"), ("--sim-length", "0"), ("--sim-length", "1"),
+])
+def test_simulate_rejects_a_useless_ensemble_before_reading_input(
+    tmp_path, capsys, flag, value
+):
+    # the input does not exist: reading it would exit 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli([
+            "simulate", "--input", str(tmp_path / "missing.txt"), flag, value,
+            "--out", str(tmp_path / "o"),
+        ])
+    assert rc == 2
+    assert f"{flag} must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_two_symbol_chains_are_a_domain_error(poem_file, layout_file, tmp_path, capsys):
+    rc = run_cli([
+        "simulate", "--input", poem_file, "--layout", layout_file, "--block-len", "400",
+        "--ensemble", "3", "--sim-length", "2", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 4
+    assert "sequence of length 2 has no windows of order 3" in capsys.readouterr().err
 
 
 def test_simulate_names_a_model_block_past_the_end_one_based(

@@ -329,6 +329,32 @@ def test_partial_spearman_collinear_controls():
         partial_spearman(x, y, [z, 2 * z])
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 12])
+def test_partial_spearman_rejects_ranks_linear_in_the_controls(n):
+    """Ranks that are a linear function of the control ranks leave a zero
+    residual, which lstsq returns as noise of about 1e-16: no correlation."""
+    y = np.random.default_rng(n).normal(size=n)
+    with pytest.raises(DomainError, match="x ranks are a linear function"):
+        partial_spearman(0.3 * np.arange(n), y, [np.arange(1, n + 1)])
+    with pytest.raises(DomainError, match="y ranks are a linear function"):
+        partial_spearman(y, -np.arange(n), [np.arange(1, n + 1)])
+
+
+def test_md_correlations_name_a_variable_that_rises_in_every_block():
+    from vcmarkov.pipeline import PROFILE_COLUMNS, md_parameter_correlations
+
+    rng = np.random.default_rng(3)
+    rows = []
+    for b in range(1, 5):
+        row = dict.fromkeys(PROFILE_COLUMNS, 0.0)
+        row.update(source="ru", block=b, md=rng.normal())
+        row.update({var: rng.uniform() for var in ("p", "p0", "q00", "p11")})
+        row["p1"] = 0.5 + 0.01 * b
+        rows.append(tuple(row[name] for name in PROFILE_COLUMNS))
+    with pytest.raises(DomainError, match="correlation of md with p1: x ranks"):
+        md_parameter_correlations(rows, control_set="block")
+
+
 # ------------------------------------------------------------ regression
 
 
