@@ -63,7 +63,13 @@ _POLE_TOL = 1e-12
 def _as_symbol_array(seq: Union[SymbolSequence, np.ndarray]) -> np.ndarray:
     if isinstance(seq, SymbolSequence):
         return seq.symbols
-    arr = np.ascontiguousarray(seq, dtype=np.uint8)
+    arr = np.asarray(seq)
+    # the cast to uint8 would truncate 0.5 and wrap 256 to 0: check other dtypes first
+    if arr.dtype not in (np.uint8, np.bool_) and not (
+        arr.dtype.kind in "iuf" and ((arr == 0) | (arr == 1)).all()
+    ):
+        raise ValueError("symbols must be 0 or 1")
+    arr = np.ascontiguousarray(arr, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("symbol array must be one dimensional")
     if arr.size and arr.max() > 1:

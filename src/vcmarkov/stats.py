@@ -1,6 +1,8 @@
 """Diagnostics and inference: ACF, Ljung-Box, Spearman, interaction OLS.
 
-Rank statistics use mid-ranks for ties throughout, computed in numpy.
+No statistic calls BLAS or LAPACK: each is a closed form over exact sums,
+so its value is the same on every CPU kernel and at every thread count.
+Rank statistics use mid-ranks for ties throughout.
 Spearman p-values are exact up to n = 10, counting integer rank-product
 sums over all n! orderings with one cached null per pair of tie
 patterns, and use the standard t approximation above that; partial
@@ -15,12 +17,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .markov import WhichCF, concatenation_reports, sequence_report
+from .markov import WhichCF, _as_symbol_array, concatenation_reports, sequence_report
 from .resample import Interval, MbbConfig, mbb_replicate, percentile_interval, subblocks
 
 _EXACT_SPEARMAN_MAX_N = 10
@@ -35,25 +37,34 @@ class AcfResult:
 
 
 def autocorrelation(x, max_lag: int) -> AcfResult:
-    """Sample autocorrelations at lags 1..max_lag.
+    """Sample autocorrelations of a 0/1 symbol sequence at lags 1..max_lag.
 
-    Uses the standard biased normalization: the lag-k sum of products of
-    deviations over the lag-0 sum of squares. A constant input has no
-    autocorrelation and raises :class:`DomainError`.
+    The biased estimator (lag-k sum of products of deviations over the
+    lag-0 sum of squares) in integer counts: with n symbols, S ones, N_k
+    pairs of ones k apart, H_k and T_k ones in the first and last n - k,
+
+        rho_k = (n^2 N_k - n S (H_k + T_k) + (n - k) S^2) / (n (n S - S^2))
+
+    with one correctly rounded division. Input other than 0 and 1 raises
+    ValueError; a constant sequence raises :class:`DomainError`.
     """
-    arr = np.asarray(x, dtype=float).reshape(-1)
-    n = arr.size
+    y = _as_symbol_array(x)
+    n = y.size
     if max_lag < 1:
         raise ValueError("max_lag must be at least 1")
     if n < max_lag + 1:
         raise ValueError(f"need at least max_lag + 1 = {max_lag + 1} points, got {n}")
-    centered = arr - arr.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
+    s = int(np.count_nonzero(y))
+    denom = n * (n * s - s * s)
+    if denom == 0:
         raise DomainError("autocorrelation undefined for a constant sequence")
     rho = np.empty(max_lag)
+    ends = 2 * s
     for k in range(1, max_lag + 1):
-        rho[k - 1] = float(np.dot(centered[:-k], centered[k:])) / denom
+        # H_k + T_k: S less the ones among the last k, plus S less those among the first k
+        ends -= int(y[k - 1]) + int(y[n - k])
+        pairs = int(np.count_nonzero(y[:-k] & y[k:]))
+        rho[k - 1] = (n * n * pairs - n * s * ends + (n - k) * s * s) / denom
     return AcfResult(lags=np.arange(1, max_lag + 1), rho=rho, n=n)
 
 
@@ -116,15 +127,15 @@ def midranks(a: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    cx = x - x.mean()
-    cy = y - y.mean()
-    sx = float(np.dot(cx, cx))
-    sy = float(np.dot(cy, cy))
-    if sx == 0.0 or sy == 0.0:
-        raise DomainError("correlation undefined: an input has zero variance")
-    r = float(np.dot(cx, cy) / np.sqrt(sx * sy))
-    return min(1.0, max(-1.0, r))
+def _centred_ranks(*columns) -> np.ndarray:
+    """Doubled, centred mid-ranks 2 r - (n + 1) of equal-length columns: int64 rows."""
+    arrays = [np.asarray(v, dtype=float).reshape(-1) for v in columns]
+    n = arrays[0].size
+    if any(v.size != n for v in arrays):
+        raise ValueError("x, y and any control must have equal length")
+    if n <= len(arrays):
+        raise ValueError(f"need at least {len(arrays) + 1} observations, got {n}")
+    return np.array([2 * midranks(v) - (n + 1) for v in arrays]).astype(np.int64)
 
 
 def _t_approx_p(rho: float, dof: int) -> float:
@@ -190,22 +201,16 @@ def spearman_test(x, y) -> SpearmanResult:
     permutation null; larger samples use the t approximation with n - 2
     degrees of freedom.
     """
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    ya = np.asarray(y, dtype=float).reshape(-1)
-    if xa.size != ya.size:
-        raise ValueError("x and y must have equal length")
-    n = xa.size
-    if n < 3:
-        raise ValueError(f"need at least 3 pairs, got {n}")
-    rx = midranks(xa)
-    ry = midranks(ya)
-    rho = _pearson(rx, ry)
+    ranks = _centred_ranks(x, y)
+    n = ranks.shape[1]
+    (s_aa, s_ab), (_, s_bb) = (ranks @ ranks.T).tolist()
+    if s_aa == 0 or s_bb == 0:
+        raise DomainError("correlation undefined: an input has zero variance")
+    rho = min(1.0, max(-1.0, s_ab / math.sqrt(s_aa * s_bb)))
     if n <= _EXACT_SPEARMAN_MAX_N:
-        # doubled centred mid-ranks are integers, and |rho| orders as their |S|
-        a, b = ((2 * r - (n + 1)).astype(np.int64).tolist() for r in (rx, ry))
-        s_obs = abs(sum(ai * bi for ai, bi in zip(a, b)))
-        sums, freq = _rank_product_null(tuple(sorted(a)), tuple(sorted(b)))
-        p = int(freq[np.abs(sums) >= s_obs].sum()) / math.factorial(n)
+        # |rho| orders as |S_ab| under every ordering of b
+        sums, freq = _rank_product_null(*(tuple(sorted(r)) for r in ranks.tolist()))
+        p = int(freq[np.abs(sums) >= abs(s_ab)].sum()) / math.factorial(n)
         method = "exact"
     else:
         p = _t_approx_p(rho, n - 2)
@@ -213,59 +218,45 @@ def spearman_test(x, y) -> SpearmanResult:
     return SpearmanResult(rho=rho, p_value=p, n=n, method=method)
 
 
-def _residualize(v: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    coef, _, _, _ = np.linalg.lstsq(Z, v, rcond=None)
-    return v - Z @ coef
-
-
 def partial_spearman(
     x, y, controls: Sequence, *, names: Optional[Sequence[str]] = None
 ) -> SpearmanResult:
-    """Spearman correlation of x and y after removing rank-linear effects
-    of the control variables.
+    """Spearman correlation of x and y after removing the rank-linear effect
+    of at most one control variable c.
 
-    All variables are rank-transformed; x and y ranks are residualized on
-    the control ranks (with intercept) and the residuals are correlated.
-    The p-value is a t approximation with n - 2 - k degrees of freedom.
-    With no controls this is exactly :func:`spearman_test`. Collinear
-    control ranks, or x or y ranks that are a linear function of them
-    (zero residual variance), raise :class:`DomainError`.
+    It is the correlation of the x and y rank residuals on the c ranks,
+    (S_xy S_cc - S_xc S_yc) / sqrt((S_xx S_cc - S_xc^2)(S_yy S_cc - S_yc^2))
+    in integer sums of products of centred ranks, with a t-approximate
+    p-value on n - 3 degrees of freedom. With no controls this is exactly
+    :func:`spearman_test`; two or more raise ValueError. Constant control
+    ranks, or x or y ranks that are a linear function of them, raise
+    :class:`DomainError`.
     """
     controls = list(controls)
     if not controls:
         return replace(spearman_test(x, y), controlled_for=())
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    ya = np.asarray(y, dtype=float).reshape(-1)
-    n = xa.size
-    k = len(controls)
-    if ya.size != n:
-        raise ValueError("x and y must have equal length")
-    ctrl = [np.asarray(c, dtype=float).reshape(-1) for c in controls]
-    if any(c.size != n for c in ctrl):
-        raise ValueError("controls must match the length of x and y")
-    if n < 3 + k:
-        raise ValueError(f"need at least 3 + {k} observations, got {n}")
-    if names is not None and len(names) != k:
+    if len(controls) > 1:
+        raise ValueError(f"at most one control is supported, got {len(controls)}")
+    if names is not None and len(names) != 1:
         raise ValueError("names must match the number of controls")
-    rx = midranks(xa)
-    ry = midranks(ya)
-    Z = np.column_stack([np.ones(n)] + [midranks(c) for c in ctrl])
-    if np.linalg.matrix_rank(Z) < Z.shape[1]:
+    ranks = _centred_ranks(x, y, controls[0])
+    n = ranks.shape[1]
+    (s_aa, s_ab, s_ac), (_, s_bb, s_bc), (_, _, s_cc) = (ranks @ ranks.T).tolist()
+    if s_cc == 0:
         raise DomainError("control ranks are collinear; partial correlation undefined")
-    # a rank-linear function of the controls leaves a zero residual, which
-    # lstsq returns as rounding noise: say so rather than correlate the noise
-    for label, ranks in (("x", rx), ("y", ry)):
-        if np.linalg.matrix_rank(np.column_stack([Z, ranks])) <= Z.shape[1]:
+    # residual sums of squares of x and y on the control, times S_cc
+    r_aa, r_bb = s_aa * s_cc - s_ac * s_ac, s_bb * s_cc - s_bc * s_bc
+    for label, r in (("x", r_aa), ("y", r_bb)):
+        if r == 0:
             raise DomainError(
                 f"{label} ranks are a linear function of the control ranks; "
                 "partial correlation undefined"
             )
-    res_x = _residualize(rx, Z)
-    res_y = _residualize(ry, Z)
-    rho = _pearson(res_x, res_y)
-    p = _t_approx_p(rho, n - 2 - k)
-    labels = tuple(names) if names is not None else tuple(f"c{i}" for i in range(k))
-    return SpearmanResult(rho=rho, p_value=p, n=n, method="t-approx", controlled_for=labels)
+    rho = min(1.0, max(-1.0, (s_ab * s_cc - s_ac * s_bc) / math.sqrt(r_aa * r_bb)))
+    p = _t_approx_p(rho, n - 3)
+    return SpearmanResult(
+        rho=rho, p_value=p, n=n, method="t-approx", controlled_for=tuple(names or ("c0",))
+    )
 
 
 COEFFICIENT_NAMES = ("intercept", "block", "source", "interaction")
@@ -297,14 +288,12 @@ def fit_interaction_model(
     is 0 for the baseline label (the lexicographically smaller one unless
     overridden), 1 for the other, so the interaction coefficient is the
     slope difference of the treatment source against the baseline.
+    It splits into one fsum-fitted line a_i + s_i * block per source, so the
+    coefficients are a_0, s_0, a_1 - a_0 and s_1 - s_0. A source with fewer
+    than two distinct positions raises :class:`DomainError`.
     """
     rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to fit")
-    y = np.array([r[0] for r in rows], dtype=float)
-    block = np.array([r[1] for r in rows], dtype=float)
-    labels = [r[2] for r in rows]
-    uniq = sorted(set(labels))
+    uniq = sorted({r[2] for r in rows})
     if len(uniq) != 2:
         raise ValueError(f"need exactly two source labels, got {uniq!r}")
     if baseline is None:
@@ -312,24 +301,29 @@ def fit_interaction_model(
     if baseline not in uniq:
         raise ValueError(f"baseline {baseline!r} is not one of {uniq!r}")
     treatment = uniq[1] if baseline == uniq[0] else uniq[0]
+    lines, ssr = {}, 0.0
     for lab in uniq:
-        if sum(1 for l in labels if l == lab) < 2:
+        x = [float(r[1]) for r in rows if r[2] == lab]
+        if len(x) < 2:
             raise ValueError(f"source {lab!r} has fewer than 2 rows")
-    ind = np.array([0.0 if l == baseline else 1.0 for l in labels])
-    X = np.column_stack([np.ones(len(rows)), block, ind, block * ind])
-    s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] < 1e-12 * s[0]:
-        raise DomainError(
-            "design matrix is rank deficient (identical block positions "
-            "within a source, or a degenerate indicator)"
-        )
-    beta = np.linalg.solve(X.T @ X, X.T @ y)
-    fitted = X @ beta
-    sst = float(np.sum((y - y.mean()) ** 2))
-    ssr = float(np.sum((y - fitted) ** 2))
+        if len(set(x)) < 2:
+            raise DomainError(
+                "design matrix is rank deficient (identical block positions "
+                "within a source, or a degenerate indicator)"
+            )
+        y = [float(r[0]) for r in rows if r[2] == lab]
+        mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+        dx, dy = [v - mx for v in x], [v - my for v in y]
+        slope = math.fsum(u * v for u, v in zip(dx, dy)) / math.fsum(u * u for u in dx)
+        ssr += math.fsum((v - slope * u) ** 2 for u, v in zip(dx, dy))
+        lines[lab] = (my - slope * mx, slope)
+    (a0, s0), (a1, s1) = lines[baseline], lines[treatment]
+    md = [float(r[0]) for r in rows]
+    mean = math.fsum(md) / len(md)
+    sst = math.fsum((v - mean) ** 2 for v in md)
     r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     return RegressionFit(
-        coefficients=dict(zip(COEFFICIENT_NAMES, beta.tolist())),
+        coefficients=dict(zip(COEFFICIENT_NAMES, (a0, s0, a1 - a0, s1 - s0))),
         r_squared=r_squared,
         baseline=baseline,
         treatment=treatment,
@@ -394,20 +388,17 @@ def bootstrap_model_coefficients(
             column += 1
     if first is not None:
         raise first[1]
-    sample_store = {name: np.empty(cfg.n_replicates) for name in COEFFICIENT_NAMES}
-    for r, replicate_md in enumerate(md.tolist()):
-        fit_r = fit_interaction_model(
+    fits = [
+        fit_interaction_model(
             [(value, block, label) for value, (_, block, label) in zip(replicate_md, rows)],
             baseline=point.baseline,
+        ).coefficients
+        for replicate_md in md.tolist()
+    ]
+    summaries = {}
+    for name in COEFFICIENT_NAMES:
+        samples = np.array([fit[name] for fit in fits])
+        summaries[name] = BootstrapSummary(
+            float(samples.mean()), percentile_interval(samples, level), samples
         )
-        for name in COEFFICIENT_NAMES:
-            sample_store[name][r] = fit_r.coefficients[name]
-    summaries = {
-        name: BootstrapSummary(
-            mean=float(samples.mean()),
-            interval=percentile_interval(samples, level),
-            samples=samples,
-        )
-        for name, samples in sample_store.items()
-    }
     return replace(point, bootstrap=summaries)

@@ -549,6 +549,30 @@ def test_non_numeric_blocks_cell_is_a_data_error(tmp_path, capsys):
     assert "error [data]" in err and "bad.csv" in err
 
 
+@pytest.mark.parametrize("blocks, code", [
+    ((7, 7, 7), 4),
+    ((10**6 + 1, 10**6 + 2, 10**6 + 3), 0),
+], ids=["one-block-number", "large-block-numbers"])
+def test_regress_blocks_needs_two_block_numbers_per_source(blocks, code, tmp_path, capsys):
+    """One block number repeated within a source leaves the block slope
+    undefined (exit 4); distinct large numbers fit (an SVD rank test used
+    to call them rank deficient)."""
+    good = tmp_path / "good.csv"
+    good.write_text("block,md\n1,0.1\n2,0.2\n3,0.25\n", encoding="utf-8")
+    other = tmp_path / "other.csv"
+    other.write_text(
+        "block,md\n" + "".join(f"{b},{0.1 * i}\n" for i, b in enumerate(blocks)),
+        encoding="utf-8",
+    )
+    rc = run_cli([
+        "regress", "--blocks", f"aa={good}", "--blocks", f"bb={other}",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == code
+    if code == 4:
+        assert "error [domain]" in capsys.readouterr().err
+
+
 def test_bad_label_argument_is_usage_error(tmp_path, capsys):
     rc = run_cli([
         "regress", "--blocks", "no-equals-sign",

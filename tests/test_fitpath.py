@@ -3,9 +3,10 @@ of every output file of the model commands."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vcmarkov import RUSSIAN, FourStateModel, TwoStateModel, cli, simulate_sequence
+import vcmarkov
+from vcmarkov import FourStateModel, TwoStateModel, autocorrelation, simulate_sequence
 from vcmarkov.errors import DomainError, ZeroContextError
 from vcmarkov.markov import (
     count_ngrams,
@@ -24,7 +26,8 @@ from vcmarkov.markov import (
 )
 
 import fit_oracle as oracle
-from poems import build_poem
+import pinned_runs
+from pinned_runs import RUNS, output_digests
 
 
 def outcome(fn, *args):
@@ -127,52 +130,14 @@ def test_dispersion_report_equals_the_oracle(p, p0, p1, p11, p00, n, which_cf):
     assert got == want or repr(got) == repr(want)
 
 
-# (run name, argv after the shared input options); "{a}" and "{b}" are the
-# two poems, every run writes into the directory named by its run name
-_SINGLE = ["--input", "a.txt", "--layout", "layout.json", "--block-len", "400"]
-_MBB = ["--subblock-len", "50", "--replicates", "12", "--seed", "5"]
-_REGRESS = [
-    "--source", "a=a.txt", "--source", "b=b.txt",
-    "--layout", "a=layout.json", "--layout", "b=layout.json", "--block-len", "400",
-]
-RUNS = {
-    "profile": ["profile", *_SINGLE],
-    "profile-simple": [
-        "profile", *_SINGLE, "--scheme", "scheme.json", "--which-cf", "simple",
-        "--control-set", "none",
-    ],
-    "profile-b": [
-        "profile", "--input", "b.txt", "--layout", "layout.json", "--block-len", "400",
-    ],
-    "bootstrap": ["bootstrap", *_SINGLE, *_MBB],
-    "bootstrap-simple": ["bootstrap", *_SINGLE, *_MBB, "--which-cf", "simple"],
-    "acf": ["acf", *_SINGLE, *_MBB, "--max-lag", "6", "--lb-lag", "6"],
-    "simulate": [
-        "simulate", *_SINGLE, "--ensemble", "15", "--sim-length", "600",
-        "--model-block", "2", "--seed", "3",
-    ],
-    "regress": ["regress", *_REGRESS, *_MBB],
-    "regress-blocks": [
-        "regress", "--blocks", "a=profile/blocks.csv", "--blocks", "b=profile-b/blocks.csv",
-    ],
-    "surrogate-profile": ["surrogate", "--surrogate-subblock-len", "40", "profile", *_SINGLE],
-    "surrogate-bootstrap": [
-        "surrogate", "--surrogate-seed", "2", "bootstrap", *_SINGLE, *_MBB,
-    ],
-    "surrogate-acf": ["surrogate", "acf", *_SINGLE, *_MBB],
-    "surrogate-simulate": [
-        "surrogate", "simulate", *_SINGLE, "--ensemble", "10", "--sim-length", "400",
-    ],
-    "surrogate-regress": ["surrogate", "--apply-to", "b", "regress", *_REGRESS, *_MBB],
-}
-
 # sha256 of every output file, written by the three-count fit that the
-# one-count fit replaced
+# one-count fit replaced; the ACF, correlation and regression files were
+# retaken when those statistics became exact sums with no BLAS call
 PINS = {
     "profile/blocks.csv":
         "0091d95050be8362a931fe343f6374cea096a563c72ec98c8e4d4a7ce56ac443",
     "profile/correlations.csv":
-        "4ad8e56f51cc9a6a15a5106e02d98b99167c4d16430e60ea0924d28a79cf0cf8",
+        "adfde033e907010a8c5c20d79add804427946fe1f83c2633756583fdfa72f764",
     "profile/manifest.json":
         "efef746cd26f575c77f446862ef7788b063e1e935b00ac16c9b656b293bedde4",
     "profile-simple/blocks.csv":
@@ -184,7 +149,7 @@ PINS = {
     "profile-b/blocks.csv":
         "e6cf30a9a3fdb91ccdeee170a08c31acad52b148db7c4a2bfcd1c4a067ec3a59",
     "profile-b/correlations.csv":
-        "5a75ccb1a08fc8f96f0b8e5c8d823e39b6227ad2d228d8efdac81a67b7d26018",
+        "5a9b43ac62ec4a7ca63985d6a4f40c6e9e3073442d496278546c10359f3312b5",
     "profile-b/manifest.json":
         "a5400f78cd177960c4d8599e3ac20868f7e8e5b2d4346c77ff481faa2f927e42",
     "bootstrap/intervals.csv":
@@ -200,9 +165,9 @@ PINS = {
     "bootstrap-simple/replicates.csv":
         "926eb36ac5b941b2b2308219d9e28816e6ce3855681e375989b9e3b2224fce4e",
     "acf/acf.csv":
-        "f31cfb5ccf1c5e6050354e886ad87bf3c0e931f800adf3d7f19125031a5a1aa8",
+        "1f64a0865471ee2d7ec32900463c1e1feb43611cff1492b0c3f74e94bf38a283",
     "acf/ljung_box.csv":
-        "f51acaa4f73dad06f5bc5a3bde6ba4989f2d5524a287c847d664f0c3a8ab675f",
+        "0b8b5cfbd8d9805866b777a69e389d25d059df3f36dbd92c7c88b00e771091ea",
     "acf/manifest.json":
         "f5e06ddaf07d6764047c7a97d617cd578efef4eb655ca022579f5b37d820316d",
     "simulate/ensemble.csv":
@@ -212,23 +177,23 @@ PINS = {
     "simulate/simulation.json":
         "5b78cde06da1668788662298b72f3bf1d0e22ae847bf587676c43b4a4eb8e467",
     "regress/coefficients.csv":
-        "978300443a1c6e75c61cd0601cc6fd9e065d7d27181c410e813c9cbf213573ae",
+        "578fcf293c1aa5983d88cc6249110d5cdc2142d7f83f1ca8d058e5483542f583",
     "regress/manifest.json":
         "e9f7e786c2e9d28b1f399e3ce0e7ae1c1175925c5e972e34b6404da6ac6badf5",
     "regress/md_blocks.csv":
         "c3094579230df7aacb265dc54b1e75f7c169910dca47ff4802e74e47ca234cca",
     "regress/regression.json":
-        "5db5ae4ec7e4174e3126fa9c0a41503d74e2608e0463904589c4b366365bb63f",
+        "7449de787797c0b4c753ad2fdc818e3cdc09304228dc627a6adea5f5cbd1cbcc",
     "regress-blocks/manifest.json":
         "62c1b85c06f39ad940d0b77df6ee32adf6009c9c32a7ad791a23b9d207bec0f3",
     "regress-blocks/md_blocks.csv":
         "5b15af1569eb508ace1f763fad2a866dc8853e92726710142208ea7d5ae5d4c4",
     "regress-blocks/regression.json":
-        "68b64d0959fb99c221ff4ba4d3407ba0cf8af2a0dcccad65888ae08bfcd973ba",
+        "f3805b3214f42225aae7c516d3082b30e7cf6013aeda5edfe34c20e9c32f5e87",
     "surrogate-profile/blocks.csv":
         "558d8340cb0c6c630a17a0450be14e5089fa941026c88753d738d702bf2c3384",
     "surrogate-profile/correlations.csv":
-        "eef6e4d8bbebfbbba6676c4b13260e9a5e01aa3d3aae9fad42c38aa78ece4a49",
+        "3a76bcd392136ff2e014b4b7edcb7283b07861c789735220482da285f08b0923",
     "surrogate-profile/manifest.json":
         "f1857ec858e1cff07a592a1274b675733ef8d0e8ba7acb5658c1eb2d7362835d",
     "surrogate-bootstrap/intervals.csv":
@@ -238,9 +203,9 @@ PINS = {
     "surrogate-bootstrap/replicates.csv":
         "90117d6888719e3a3d5b07c737b3466ef7eb6304cc9a9bf103f53f8666510a54",
     "surrogate-acf/acf.csv":
-        "eed3b6e94c20f7a2e0f0c4f5de0e5eff8e9740434d7578f62acea51e1bcf8308",
+        "5ec37e5635dec99a6f5a781eed5f056d6f23101d472c804be6d41a940934f7a4",
     "surrogate-acf/ljung_box.csv":
-        "f9c418e70809505275740173f8af2294584d86b26db8dc7056d56eec5e02ae71",
+        "b15c7cf5080345f37a13d2db232eb89059ec9b4ec4acf38b6ad76837a443aef6",
     "surrogate-acf/manifest.json":
         "30db50335fcbc250a31322273b734b1f9091cc9f2c64cf3224122b976d67f0cd",
     "surrogate-simulate/ensemble.csv":
@@ -250,33 +215,59 @@ PINS = {
     "surrogate-simulate/simulation.json":
         "0af5afeee0c089c3a86e3033f433cd5839d35057e1ec46f8a248c775bbc36388",
     "surrogate-regress/coefficients.csv":
-        "25c1a97d330db8f6b6629a3c2ce69e9234b71102b487103ab87176abd321dc2d",
+        "e138ea7d8c3ca17335a637b5cdcb4f9ab411a1d6f321440a3a8ef3950b336c01",
     "surrogate-regress/manifest.json":
         "ce20f9995851a92f62061b8b554a55c95038e5368f6faa6bfc4ab1c821c89ef1",
     "surrogate-regress/md_blocks.csv":
         "7b27fae052d43e3dcfdbefdea51206a8614fc67d6c05b4af87b3c485c962250c",
     "surrogate-regress/regression.json":
-        "05d330234b2f33ac25ecb11ca4d01f6701a352b9e6e7ac923f9288ea56fc4181",
+        "aab97250caecbde82460a02d64792e55c0293f53380d310ad832abf205c946d3",
 }
 
 
 def test_model_command_outputs_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-    (tmp_path / "a.txt").write_text(build_poem(), encoding="utf-8")
-    (tmp_path / "b.txt").write_text(
-        build_poem(n_parts=4, stanzas_per_part=12, seed=9), encoding="utf-8"
-    )
-    (tmp_path / "layout.json").write_text(
-        json.dumps({"part_numerals": "roman", "stanza_numerals": "arabic"}), encoding="utf-8"
-    )
-    (tmp_path / "scheme.json").write_text(
-        json.dumps({**RUSSIAN.to_dict(), "name": "ru-file"}), encoding="utf-8"
-    )
-    digests = {}
-    for run, argv in RUNS.items():
-        assert cli.main([*argv, "--out", run]) == 0, run
-        for name in sorted(os.listdir(run)):
-            with open(os.path.join(run, name), "rb") as fh:
-                digests[f"{run}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
-    assert digests == PINS
+    assert output_digests(RUNS) == PINS
+
+
+# every run whose outputs come from an ACF, a rank correlation or an OLS fit,
+# and the runs whose outputs they read
+KERNEL_RUNS = (
+    "profile", "profile-b", "acf", "regress", "regress-blocks",
+    "surrogate-profile", "surrogate-acf", "surrogate-regress",
+)
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel_or_thread_count(tmp_path):
+    """The same bytes under two OpenBLAS kernels at one and two threads,
+    and under this process's defaults. OpenBLAS threads its dot product
+    above about 10,000 elements, so a 50,000-symbol ACF is checked too."""
+    env = {
+        **os.environ,
+        "SOURCE_DATE_EPOCH": "0",
+        "PYTHONPATH": os.pathsep.join([
+            os.path.dirname(os.path.dirname(vcmarkov.__file__)), os.path.dirname(__file__),
+        ]),
+    }
+    children = {}
+    for coretype, threads in product(("Haswell", "Prescott"), ("1", "2")):
+        cwd = tmp_path / f"{coretype}-{threads}"
+        cwd.mkdir()
+        children[coretype, threads] = subprocess.Popen(
+            [sys.executable, pinned_runs.__file__, *KERNEL_RUNS], cwd=cwd,
+            env={**env, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE, text=True,
+        )
+    results = {}
+    for key, child in children.items():
+        out, _ = child.communicate(timeout=120)
+        assert child.returncode == 0, key
+        results[key] = json.loads(out)
+    acf = autocorrelation(pinned_runs.long_symbols(), 10).rho.tobytes().hex()
+    want = {
+        "files": {k: v for k, v in PINS.items() if k.split("/")[0] in KERNEL_RUNS},
+        "acf": acf,
+    }
+    for key, got in results.items():
+        assert got == want, key

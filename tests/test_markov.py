@@ -12,7 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vcmarkov import FourStateModel, TwoStateModel, count_ngrams, simulate_sequence
+from vcmarkov import (
+    FourStateModel,
+    TwoStateModel,
+    autocorrelation,
+    count_ngrams,
+    simulate_sequence,
+)
 from vcmarkov.encoding import SymbolSequence
 from vcmarkov.errors import DomainError, ZeroContextError
 from vcmarkov.markov import (
@@ -84,6 +90,38 @@ def test_count_ngrams_needs_enough_symbols():
 def test_count_ngrams_order_validated():
     with pytest.raises(ValueError):
         count_ngrams(seq_of("VCVC"), 4)
+
+
+# functions that validate a symbol array, each with a comparable result
+_SYMBOL_CONSUMERS = {
+    "count_ngrams": lambda x: count_ngrams(x, 3).freq.tolist(),
+    "fit_sequence": fit_sequence,
+    "sequence_report": sequence_report,
+    "autocorrelation": lambda x: autocorrelation(x, 3).rho.tolist(),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_SYMBOL_CONSUMERS))
+@pytest.mark.parametrize("bad", [
+    [0.5, 1.0, 0.2, 1.9, 0.7, 0.0, 1.0, 0.0],
+    [0, 1, 256, 1, 0, 0, 1, 0],
+    [0.0, 1.0, float("nan"), 1.0, 0.0, 0.0, 1.0, 0.0],
+    [0, 1, -1, 1, 0, 0, 1, 0],
+    np.array([0, 1, 2, 1, 0, 0, 1, 0], dtype=np.uint8),
+    ["0", "1", "1", "0", "0", "1", "0", "1"],
+], ids=["fractions", "wraps-to-0", "nan", "negative", "uint8-2", "strings"])
+def test_symbol_input_other_than_0_and_1_is_rejected(consumer, bad):
+    """A uint8 cast used to count 0.5 as C, 1.9 as V and 256 as C."""
+    with pytest.raises(ValueError, match="symbols must be 0 or 1"):
+        _SYMBOL_CONSUMERS[consumer](bad)
+
+
+@pytest.mark.parametrize("consumer", sorted(_SYMBOL_CONSUMERS))
+def test_symbol_lists_of_bools_ints_and_floats_are_accepted(consumer):
+    bits = np.random.default_rng(4).integers(0, 2, 200).astype(np.uint8)
+    want = _SYMBOL_CONSUMERS[consumer](bits)
+    for form in (bits.astype(bool).tolist(), bits.tolist(), bits.astype(float)):
+        assert _SYMBOL_CONSUMERS[consumer](form) == want
 
 
 # ------------------------------------------------------------ model fitting

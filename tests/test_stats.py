@@ -9,11 +9,14 @@ import itertools
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vcmarkov import (
     MbbConfig,
@@ -39,17 +42,14 @@ from vcmarkov.stats import (
 
 
 def test_autocorrelation_by_hand():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    res = autocorrelation(x, 2)
-    # biased estimator: sum (x_t - m)(x_{t+k} - m) / sum (x_t - m)^2
-    m = 2.5
-    denom = sum((v - m) ** 2 for v in x)
-    rho1 = sum((x[t] - m) * (x[t + 1] - m) for t in range(3)) / denom
-    rho2 = sum((x[t] - m) * (x[t + 2] - m) for t in range(2)) / denom
-    assert list(res.lags) == [1, 2]
-    assert res.rho[0] == pytest.approx(rho1)
-    assert res.rho[1] == pytest.approx(rho2)
-    assert res.n == 4
+    res = autocorrelation([1, 0, 0, 1, 0], 3)
+    # biased estimator: sum (x_t - m)(x_{t+k} - m) / sum (x_t - m)^2 with
+    # m = 0.4, deviations (.6, -.4, -.4, .6, -.4) and denominator 1.2:
+    # lag 1: -.24 + .16 - .24 - .24 = -.56; lag 2: -.24 - .24 + .16 = -.32;
+    # lag 3: .36 + .16 = .52
+    assert list(res.lags) == [1, 2, 3]
+    assert res.rho.tolist() == [-7 / 15, -4 / 15, 13 / 30]
+    assert res.n == 5
 
 
 def test_autocorrelation_alternating_series():
@@ -65,8 +65,26 @@ def test_autocorrelation_needs_variation():
 
 
 def test_autocorrelation_needs_length():
-    with pytest.raises(ValueError):
-        autocorrelation(np.arange(5.0), 5)
+    with pytest.raises(ValueError, match="need at least max_lag"):
+        autocorrelation(np.array([0, 1, 1, 0, 1]), 5)
+
+
+def _acf_oracle(x, k):
+    """The biased lag-k autocorrelation as an exact fraction: sums of
+    products of the deviations n x_t - S, scaled by n to stay integers."""
+    n, s = len(x), sum(x)
+    dev = [n * v - s for v in x]
+    return Fraction(sum(dev[t] * dev[t + k] for t in range(n - k)), sum(d * d for d in dev))
+
+
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=150))
+@settings(max_examples=300, deadline=None)
+def test_autocorrelation_is_the_exact_value_rounded_once(bits):
+    """Every lag up to n - 1, where a single pair of symbols remains."""
+    assume(0 < sum(bits) < len(bits))
+    n = len(bits)
+    rho = autocorrelation(np.array(bits, dtype=np.uint8), n - 1).rho.tolist()
+    assert rho == [float(_acf_oracle(bits, k)) for k in range(1, n)]
 
 
 # ------------------------------------------------------------ Ljung-Box
@@ -89,7 +107,7 @@ def _lb_oracle(x, h):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_ljung_box_against_mpmath(seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=300)
+    x = rng.integers(0, 2, size=300)
     res = ljung_box_test(autocorrelation(x, 10), 10)
     q, p = _lb_oracle(x, 10)
     assert res.statistic == pytest.approx(q, rel=1e-10)
@@ -105,7 +123,7 @@ def test_ljung_box_detects_dependence(fixture_chain):
 
 
 def test_ljung_box_h_bounded():
-    x = np.random.default_rng(0).normal(size=100)
+    x = np.random.default_rng(0).integers(0, 2, size=100)
     acf = autocorrelation(x, 5)
     with pytest.raises(ValueError):
         ljung_box_test(acf, 6)
@@ -265,6 +283,27 @@ def test_spearman_t_approx_against_scipy():
     assert res.p_value == pytest.approx(ref.pvalue, rel=1e-6)
 
 
+def _pearson(x, y):
+    """The float Pearson correlation of mid-ranks that the integer rank sums
+    replaced."""
+    cx = x - x.mean()
+    cy = y - y.mean()
+    r = float(np.dot(cx, cy) / np.sqrt(float(np.dot(cx, cx)) * float(np.dot(cy, cy))))
+    return min(1.0, max(-1.0, r))
+
+
+def test_spearman_rho_is_bit_identical_to_float_pearson_on_ranks():
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 2000:
+        n = int(rng.integers(3, 60))
+        x, y = (rng.integers(0, rng.integers(2, n + 1), n).astype(float) for _ in range(2))
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue
+        assert spearman_test(x, y).rho == _pearson(midranks(x), midranks(y))
+        checked += 1
+
+
 def test_spearman_needs_three_points():
     with pytest.raises(ValueError):
         spearman_test([1, 2], [3, 4])
@@ -325,7 +364,9 @@ def test_partial_spearman_collinear_controls():
     x = np.arange(10.0)
     y = np.arange(10.0)[::-1].copy()
     z = np.arange(10.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="collinear"):
+        partial_spearman(x, y, [np.full(10, 3.0)])
+    with pytest.raises(ValueError, match="at most one control"):
         partial_spearman(x, y, [z, 2 * z])
 
 
@@ -396,6 +437,45 @@ def test_fit_interaction_model_validation():
         fit_interaction_model(rows + [(0.5, 1, "cc")])
     with pytest.raises(ValueError):
         fit_interaction_model(rows, baseline="zz")
+
+
+def _ols_oracle(rows, baseline):
+    """Exact least squares of md on (1, block, source, block * source) in
+    rationals: the normal equations, solved by Gauss-Jordan elimination."""
+    X = []
+    for _, block, label in rows:
+        ind = int(label != baseline)
+        X.append([Fraction(1), Fraction(block), Fraction(ind), Fraction(block) * ind])
+    y = [Fraction(md) for md, _, _ in rows]
+    A = [
+        [sum(r[i] * r[j] for r in X) for j in range(4)] + [sum(r[i] * v for r, v in zip(X, y))]
+        for i in range(4)
+    ]
+    for i in range(4):
+        pivot = next(r for r in range(i, 4) if A[r][i] != 0)
+        A[i], A[pivot] = A[pivot], A[i]
+        A[i] = [v / A[i][i] for v in A[i]]
+        for r in range(4):
+            if r != i:
+                A[r] = [a - A[r][i] * b for a, b in zip(A[r], A[i])]
+    return [A[i][4] for i in range(4)]
+
+
+@pytest.mark.parametrize("offset", [0, 10**3, 10**6, 10**8])
+def test_fit_interaction_model_matches_exact_ols_at_large_positions(offset):
+    """Block positions offset + 1..20: an SVD rank test called the design at
+    10^6 rank deficient, and normal equations lost digits of the slope."""
+    rng = np.random.default_rng(offset)
+    for _ in range(100):
+        rows = [
+            (float(rng.normal(0.2, 0.1)), float(offset + position), label)
+            for label in ("it", "ru")
+            for position in rng.choice(np.arange(1, 21), size=rng.integers(2, 9), replace=False)
+        ]
+        fit = fit_interaction_model(rows)
+        exact = _ols_oracle(rows, fit.baseline)
+        for name, value in zip(COEFFICIENT_NAMES, exact):
+            assert abs(Fraction(fit.coefficients[name]) - value) <= 1e-12 * abs(value), name
 
 
 def test_coefficient_names_order():
