@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -778,6 +779,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing
+    leaves it unchanged, and building it costs more than most parses."""
+    return build_parser()
+
+
 _DISPATCH = {
     "parse": cmd_parse,
     "align": cmd_align,
@@ -792,7 +800,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     ctx = RunContext()
     if args.command == "surrogate":

@@ -1,9 +1,14 @@
 """Corpus parsing: plain text with numbered headers into parts and stanzas.
 
-The parser is lossless. Every byte of the input is retained in an ordered
-segment list (headers, blank lines, and line terminators included), so the
-original file can be reconstructed exactly. Quantitative consumers walk the
-structured view (parts, stanzas, lines) instead.
+The parser is lossless. It parses the whole text in one pass: numpy finds
+the line spans in the text's code points and sums per-character flags
+over each line, so only blank lines and header candidates go through the
+header matchers and the structural checks in Python. The corpus keeps the
+raw text, the span of every line and a table of its content lines, so the
+original file can be reconstructed exactly; the reconstruction segments
+(headers, blank lines and terminators included) are derived on demand.
+Quantitative consumers walk the structured view (parts, stanzas, lines),
+and encoding reads the line table.
 
 Layout rules are data, not code: a :class:`LayoutConfig` names the header
 prefixes and numeral styles, whether stanzas are announced by numbered
@@ -52,7 +57,7 @@ def parse_roman(token: str) -> Optional[int]:
 def _parse_numeral(token: str, style: NumeralStyle) -> Optional[int]:
     if style == "roman":
         return parse_roman(token)
-    if token.isdigit():
+    if token.isdecimal():
         return int(token)
     return None
 
@@ -166,12 +171,13 @@ def char_lookup(codes: np.ndarray, fn: Callable[[str], int], dtype=np.uint8) -> 
     distinct character and spreading the results with one table lookup."""
     if codes.size == 0:
         return np.zeros(0, dtype=dtype)
+    index = codes.astype(np.intp)  # numpy indexes fastest with its own index type
     present = np.zeros(int(codes.max()) + 1, dtype=bool)
-    present[codes] = True
+    present[index] = True
     distinct = np.flatnonzero(present)
     table = np.zeros(present.size, dtype=dtype)
     table[distinct] = [fn(chr(cp)) for cp in distinct.tolist()]
-    return table[codes]
+    return table.take(index)
 
 
 def _is_word_char(ch: str) -> bool:
@@ -227,28 +233,49 @@ class Part:
     stanzas: list[Stanza] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One reconstruction unit: raw text or a reference to a parsed line."""
-
-    kind: Literal["raw", "line"]
-    text: str = ""
-    ref: Optional[tuple[int, int, int]] = None  # positional (part, stanza, line)
-
-
 @dataclass
 class Corpus:
+    """Parts, stanzas and lines of a parsed text.
+
+    ``line_table`` holds one row per content line in text order: part
+    index, stanza index, 1-based line number, start and end of the line's
+    text in ``raw``, and 1 for an epigraph line. ``line_bounds`` holds the
+    start of every line of ``raw`` (headers, markers and blank lines
+    included) and the text's length, so the reconstruction segments are
+    derived from it on demand.
+    """
+
     source_id: str
     parts: list[Part]
-    segments: list[Segment]
+    raw: str = field(repr=False)
+    line_table: np.ndarray = field(repr=False, compare=False)
+    line_bounds: np.ndarray = field(repr=False, compare=False)
+
+    def _segments(self) -> Iterator[tuple[str, object]]:
+        """("raw", text) for every header, marker or blank line and
+        ("line", (part, stanza, line)) positions for content lines, in
+        text order; together they cover every character of ``raw``."""
+        refs = (
+            (pi, si, li)
+            for pi, part in enumerate(self.parts)
+            for si, stanza in enumerate(part.stanzas)
+            for li in range(len(stanza.lines))
+        )
+        content = set(self.line_table[:, 3].tolist())
+        bounds = self.line_bounds.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo in content:
+                yield "line", next(refs)
+            else:
+                yield "raw", self.raw[lo:hi]
 
     def reconstruct(self) -> str:
         out = []
-        for seg in self.segments:
-            if seg.kind == "raw":
-                out.append(seg.text)
+        for kind, value in self._segments():
+            if kind == "raw":
+                out.append(value)
             else:
-                pi, si, li = seg.ref  # type: ignore[misc]
+                pi, si, li = value  # type: ignore[misc]
                 line = self.parts[pi].stanzas[si].lines[li]
                 out.append(line.text + line.terminator)
         return "".join(out)
@@ -266,10 +293,21 @@ class Corpus:
             for stanza in part.stanzas:
                 if stanza.epigraph and not include_epigraphs:
                     continue
-                if stanza.dotted_placeholder and not include_placeholders:
+                if not include_placeholders and stanza.dotted_placeholder:
                     continue
                 for lineno, line in enumerate(stanza.lines, start=1):
                     yield part.index, stanza.index, lineno, line
+
+    def line_spans(
+        self, include_epigraphs: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(part index, stanza index, line number) rows of the content lines
+        in text order, with the start and end of each line's text in
+        ``raw``; epigraph lines only when asked for, as in :meth:`iter_lines`."""
+        table = self.line_table
+        if not include_epigraphs:
+            table = table[table[:, 5] == 0]
+        return table[:, :3], table[:, 3], table[:, 4]
 
     def stanza_at(self, part_index: int, stanza_index: int) -> Stanza:
         stanza = self._stanza_map.get((part_index, stanza_index))
@@ -317,12 +355,45 @@ class Corpus:
                 for p in self.parts
             ],
             "segments": [
-                {"kind": seg.kind, "text": seg.text}
-                if seg.kind == "raw"
-                else {"kind": seg.kind, "ref": list(seg.ref)}  # type: ignore[arg-type]
-                for seg in self.segments
+                {"kind": "raw", "text": value} if kind == "raw"
+                else {"kind": "line", "ref": list(value)}  # type: ignore[call-overload]
+                for kind, value in self._segments()
             ],
         }
+
+
+def _line_spans(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, text end and terminator end of every line. The terminators
+    are ``\\r\\n``, ``\\r`` and ``\\n``; a final line without one ends the
+    text, and a text that ends with one has no empty line after it."""
+    n = codes.size
+    cr = codes == 13
+    crlf = np.zeros(n, dtype=bool)
+    crlf[:-1] = cr[:-1] & (codes[1:] == 10)
+    breaks = cr | (codes == 10)
+    breaks[1:] &= ~crlf[:-1]  # the \n of a \r\n belongs to its \r
+    ends = np.flatnonzero(breaks)
+    stops = ends + 1 + crlf[ends]
+    if ends.size == 0 or stops[-1] < n:
+        ends = np.append(ends, n)
+        stops = np.append(stops, n)
+    starts = np.concatenate(([0], stops[:-1]))
+    return starts, ends, stops
+
+
+def _header_char(layout: LayoutConfig) -> Callable[[str], bool]:
+    """True for a character that a header or epigraph-marker line of this
+    layout may hold: whitespace, ``.``, a prefix or marker character, or a
+    numeral letter of one of its numeral styles."""
+    allowed = set("." + layout.part_prefix + layout.stanza_prefix + layout.epigraph_marker)
+    styles = {layout.part_numerals, layout.stanza_numerals}
+    if "roman" in styles:
+        allowed.update(_ROMAN_VALUES)
+    arabic = "arabic" in styles
+    return lambda ch: ch in allowed or ch.isspace() or (arabic and ch.isdecimal())
+
+
+_COUNTED, _WORD, _HEADER = 1, 2, 4
 
 
 def parse_corpus(
@@ -335,163 +406,193 @@ def parse_corpus(
     """Parse raw text into a Corpus under the given layout.
 
     ``scheme`` controls per-line character counting (letters the scheme can
-    encode); without one, any Unicode letter counts. Character and word
-    counts come from one lookup table over the whole text, not from a call
-    per character. Structural violations raise :class:`ParseError` with
-    the byte offset of the offending line.
+    encode); without one, any Unicode letter counts. One pass over the
+    text's code points finds the lines and sums per-character flags over
+    each: a line made only of whitespace and characters a header can hold
+    (a blank line among them) is a header candidate. Only those lines go
+    through the header matchers and the structural checks; every other
+    line is content of the stanza open at that point. Structural
+    violations raise :class:`ParseError` with the byte offset of the
+    offending line, computed only then.
     """
     if raw == "":
         raise ParseError("empty input", 0)
 
-    pieces = re.split(r"(\r\n|\r|\n)", raw)
+    codes = code_points(raw)
+    starts, ends, stops = _line_spans(codes)
+    count_char = str.isalpha if scheme is None else scheme.encodable
+    header_char = _header_char(layout)
+
+    def flag(ch: str) -> int:
+        if ch in "\r\n":  # a terminator: no letter, no word, fits a header line
+            return _HEADER
+        return _COUNTED * count_char(ch) + _WORD * _is_word_char(ch) + _HEADER * header_char(ch)
+
+    # per-line sums run over each line with its terminator
+    flags = char_lookup(codes, flag)
+    maybe_header = ~np.logical_or.reduceat(flags & _HEADER == 0, starts)
+    candidates = np.flatnonzero(maybe_header)
+    is_content = ~maybe_header
+    content_before = np.concatenate(([0], np.cumsum(is_content)))
+    plain_content = np.flatnonzero(is_content)
+    blank_mode = layout.stanza_numerals is None
+
     parts: list[Part] = []
-    segments: list[Segment] = []
+    stanzas: list[Stanza] = []  # every stanza in text order
+    stanza_part: list[int] = []
     current_part: Optional[Part] = None
-    current_stanza: Optional[Stanza] = None
+    current_stanza = -1  # position in ``stanzas``; -1 when none is open
     pending_epigraph = False
-    byte_pos = 0
-    char_pos = 0
-    lines: list[Line] = []
-    line_starts: list[int] = []
+    last_numbered = 0  # highest stanza number in the current part
+    epigraphs = 0  # epigraphs opened in the current part
+    owner = np.full(starts.size, -1, dtype=np.int64)
 
-    def close_stanza():
-        nonlocal current_stanza
-        current_stanza = None
+    def offset(line: int) -> int:
+        return len(raw[: int(starts[line])].encode("utf-8", "surrogatepass"))
 
-    def open_stanza(index: int, *, epigraph: bool = False, fused: bool = False) -> Stanza:
+    def open_stanza(index: int, *, epigraph: bool = False, fused: bool = False) -> None:
         nonlocal current_stanza
         stanza = Stanza(index=index, epigraph=epigraph, fused=fused)
         current_part.stanzas.append(stanza)  # type: ignore[union-attr]
-        current_stanza = stanza
-        return stanza
+        current_stanza = len(stanzas)
+        stanzas.append(stanza)
+        stanza_part.append(current_part.index)  # type: ignore[union-attr]
 
-    def last_numbered_index() -> int:
+    def enter_content(line: int) -> int:
+        """The stanza that the content line ``line`` (and any that follow
+        it before the next blank or header line) belongs to."""
+        nonlocal pending_epigraph, last_numbered, epigraphs
         if current_part is None:
-            return 0
-        best = 0
-        for s in current_part.stanzas:
-            if not s.epigraph:
-                best = max(best, s.index)
-        return best
+            raise ParseError("text before any part header", offset(line))
+        if current_stanza < 0:
+            if pending_epigraph:
+                # epigraphs count down from 0, so each index is unique in its part
+                open_stanza(-epigraphs, epigraph=True)
+                epigraphs += 1
+                pending_epigraph = False
+            elif blank_mode:
+                last_numbered += 1
+                open_stanza(last_numbered)
+            else:
+                raise ParseError(
+                    "content line outside any stanza (expected a stanza header)",
+                    offset(line),
+                )
+        return current_stanza
 
-    for i in range(0, len(pieces), 2):
-        content = pieces[i]
-        terminator = pieces[i + 1] if i + 1 < len(pieces) else ""
-        if content == "" and terminator == "":
-            break  # trailing empty piece after the final newline
-        stripped = content.strip()
-        offset_here = byte_pos
-        byte_pos += len(content.encode("utf-8")) + len(terminator.encode("utf-8"))
-        line_start = char_pos
-        char_pos += len(content) + len(terminator)
+    found: dict[str, tuple[Optional[list[int]], Optional[list[int]]]] = {}
 
+    def match_headers(stripped: str) -> tuple[Optional[list[int]], Optional[list[int]]]:
+        """The part and stanza numerals ``stripped`` carries as a header line;
+        header lines repeat, so each distinct one is matched once."""
+        if stripped not in found:
+            found[stripped] = (
+                _match_header(stripped, layout.part_prefix, layout.part_numerals, False),
+                None if blank_mode else _match_header(
+                    stripped, layout.stanza_prefix, layout.stanza_numerals, True
+                ),
+            )
+        return found[stripped]
+
+    # Walk the candidates in text order; the plain content lines between
+    # two candidates all join the stanza open at the first of them.
+    done = 0  # plain content lines already given a stanza
+    gap = 0  # first line after the last candidate
+    text_starts, text_ends = starts.tolist(), ends.tolist()
+    n_lines = starts.size
+    for line, before in zip(
+        candidates.tolist() + [n_lines],
+        content_before[candidates].tolist() + [len(plain_content)],
+    ):
+        if before > done:
+            owner[gap:line] = enter_content(int(plain_content[done]))
+            done = before
+        if line == n_lines:
+            break
+        gap = line + 1
+        stripped = raw[text_starts[line]:text_ends[line]].strip()
         if stripped == "":
-            # Blank lines delimit stanzas only when stanzas are unnumbered;
-            # with numbered stanzas the headers are the sole delimiters, so a
-            # blank line between a header and its first line is inert.
-            if layout.stanza_numerals is None:
-                close_stanza()
-            segments.append(Segment(kind="raw", text=content + terminator))
+            # blank lines delimit stanzas only when stanzas are unnumbered;
+            # with numbered stanzas the headers are the sole delimiters
+            if blank_mode:
+                current_stanza = -1
             continue
 
-        part_vals = _match_header(
-            stripped, layout.part_prefix, layout.part_numerals, allow_multi=False
-        )
+        part_vals, stanza_vals = match_headers(stripped)
         if part_vals is not None:
             index = part_vals[0]
             if parts and index <= parts[-1].index:
                 raise ParseError(
                     f"part header {index} does not increase on {parts[-1].index}",
-                    offset_here,
+                    offset(line),
                 )
             current_part = Part(index=index)
             parts.append(current_part)
-            close_stanza()
+            current_stanza = -1
             pending_epigraph = False
-            segments.append(Segment(kind="raw", text=content + terminator))
+            last_numbered = epigraphs = 0
             continue
 
         if stripped == layout.epigraph_marker:
             if current_part is None:
-                raise ParseError("epigraph marker before any part header", offset_here)
-            close_stanza()
+                raise ParseError("epigraph marker before any part header", offset(line))
+            current_stanza = -1
             pending_epigraph = True
-            segments.append(Segment(kind="raw", text=content + terminator))
             continue
 
-        if layout.stanza_numerals is not None:
-            stanza_vals = _match_header(
-                stripped, layout.stanza_prefix, layout.stanza_numerals, allow_multi=True
-            )
-            if stanza_vals is not None:
-                if current_part is None:
-                    raise ParseError("stanza header before any part header", offset_here)
-                floor = last_numbered_index()
-                if stanza_vals[0] <= floor:
-                    raise ParseError(
-                        f"stanza header {stanza_vals[0]} does not increase on {floor}",
-                        offset_here,
-                    )
-                if any(b <= a for a, b in zip(stanza_vals, stanza_vals[1:])):
-                    raise ParseError(
-                        "fused stanza header numerals must increase", offset_here
-                    )
-                open_stanza(stanza_vals[0], fused=len(stanza_vals) > 1)
-                pending_epigraph = False
-                segments.append(Segment(kind="raw", text=content + terminator))
-                continue
-
-        # ordinary content line
-        if current_part is None:
-            raise ParseError("text before any part header", offset_here)
-        if current_stanza is None:
-            if pending_epigraph:
-                # epigraphs count down from 0, so each index is unique in its part
-                open_stanza(-sum(s.epigraph for s in current_part.stanzas), epigraph=True)
-                pending_epigraph = False
-            elif layout.stanza_numerals is None:
-                open_stanza(last_numbered_index() + 1)
-            else:
+        if stanza_vals is not None:
+            if current_part is None:
+                raise ParseError("stanza header before any part header", offset(line))
+            if stanza_vals[0] <= last_numbered:
                 raise ParseError(
-                    "content line outside any stanza (expected a stanza header)",
-                    offset_here,
+                    f"stanza header {stanza_vals[0]} does not increase on {last_numbered}",
+                    offset(line),
                 )
-        line = Line(text=content, terminator=terminator, char_count=0, word_count=0)
-        lines.append(line)
-        line_starts.append(line_start)
-        pi = len(parts) - 1
-        si = len(current_part.stanzas) - 1
-        current_stanza.lines.append(line)
-        segments.append(Segment(kind="line", ref=(pi, si, len(current_stanza.lines) - 1)))
+            if any(b <= a for a, b in zip(stanza_vals, stanza_vals[1:])):
+                raise ParseError(
+                    "fused stanza header numerals must increase", offset(line)
+                )
+            last_numbered = stanza_vals[0]
+            open_stanza(last_numbered, fused=len(stanza_vals) > 1)
+            pending_epigraph = False
+            continue
+
+        # a header candidate that matches no header is content
+        owner[line] = enter_content(line)
+        is_content[line] = True
 
     if not parts:
         raise ParseError("no part header found", 0)
-    _set_line_counts(
-        raw, lines, line_starts, str.isalpha if scheme is None else scheme.encodable
+
+    content = np.flatnonzero(is_content)
+    stanza_of = owner[content]
+    n_lines_of = np.bincount(stanza_of, minlength=len(stanzas))
+    first_line = np.cumsum(n_lines_of) - n_lines_of
+    chars = np.add.reduceat(flags & _COUNTED, starts, dtype=np.int64)[content]
+    word = flags & _WORD != 0
+    word[1:] &= ~word[:-1]  # word starts: no word runs across a terminator
+    words = np.add.reduceat(word, starts, dtype=np.int64)[content]
+    lines = [
+        Line(raw[a:b], raw[b:c], n_chars, n_words)
+        for a, b, c, n_chars, n_words in zip(
+            starts[content].tolist(), ends[content].tolist(), stops[content].tolist(),
+            chars.tolist(), words.tolist(),
+        )
+    ]
+    for stanza, lo, n in zip(stanzas, first_line.tolist(), n_lines_of.tolist()):
+        stanza.lines = lines[lo:lo + n]
+
+    per_stanza = np.array(
+        [(p, s.index, s.epigraph) for p, s in zip(stanza_part, stanzas)], dtype=np.int64
+    ).reshape(len(stanzas), 3)[stanza_of]
+    line_table = np.column_stack((
+        per_stanza[:, 0], per_stanza[:, 1], np.arange(content.size) - first_line[stanza_of] + 1,
+        starts[content], ends[content], per_stanza[:, 2],
+    ))
+    return Corpus(
+        source_id=source_id, parts=parts, raw=raw, line_table=line_table,
+        line_bounds=np.append(starts, stops[-1]),
     )
-    return Corpus(source_id=source_id, parts=parts, segments=segments)
-
-
-def _set_line_counts(
-    raw: str, lines: list[Line], starts: list[int], count_char: Callable[[str], bool]
-) -> None:
-    """Fill in every line's ``char_count`` and ``word_count`` from one pass
-    over the whole text: running totals of counted characters and of word
-    starts, read at each line's ends. A line starts the text or follows a
-    terminator, so no word runs into it."""
-    flags = char_lookup(code_points(raw), lambda ch: count_char(ch) + 2 * _is_word_char(ch))
-    word = flags >= 2
-    word_start = word.copy()
-    word_start[1:] &= ~word[:-1]
-    chars_before = np.concatenate(([0], np.cumsum(flags & 1, dtype=np.int32)))
-    words_before = np.concatenate(([0], np.cumsum(word_start, dtype=np.int32)))
-    lo = np.asarray(starts, dtype=np.int64)
-    hi = lo + np.fromiter((len(line.text) for line in lines), dtype=np.int64, count=len(lines))
-    char_counts = (chars_before[hi] - chars_before[lo]).tolist()
-    word_counts = (words_before[hi] - words_before[lo]).tolist()
-    for line, chars, words in zip(lines, char_counts, word_counts):
-        line.char_count = chars
-        line.word_count = words
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ where it came from (part index, stanza index, 1-based line number, 0-based
 character offset in the line), which lets downstream pattern mining recover
 the lexical context of any window.
 
-Encoding joins the line texts into one string and classifies each distinct
-character once with the scheme; one table lookup then gives every
-character's class, and numpy reads the symbols, the origin rows and any
-unknown letters off that array.
+Encoding reads the line table that the parse records (part, stanza, line
+number and the span of every content line in the raw text). It classifies
+each distinct character of the text once with the scheme, and one table
+lookup gives every character's class; numpy then reads the symbols, the
+origin rows and any unknown letters of the encoded lines off that array.
 """
 
 from __future__ import annotations
@@ -88,29 +89,35 @@ def encode_text(
     so the sequence covers the poem body that the block statistics
     describe.
 
-    The line texts are joined into one string whose distinct characters are
-    classified once each; symbols and origin rows are then read off that
-    lookup with numpy.
+    The distinct characters of the raw text are classified once each, and
+    the corpus's line spans say which characters belong to encoded lines
+    and where each one sits; symbols and origin rows are read off with
+    numpy, without visiting the line objects.
     """
     if policy not in ("error", "skip"):
         raise ValueError(f"unknown policy {policy!r}")
-    lines = list(corpus.iter_lines(include_epigraphs=include_epigraphs))
-    text = "".join(line.text for _, _, _, line in lines)
-    classes = char_lookup(code_points(text), lambda ch: _CLASS_CODES[scheme.classify(ch)])
-    lengths = np.fromiter((len(line.text) for _, _, _, line in lines), np.int64, len(lines))
-    line_starts = np.cumsum(lengths) - lengths
-    locations = np.array([loc for *loc, _ in lines], dtype=np.int32).reshape(len(lines), 3)
+    raw = corpus.raw
+    codes = code_points(raw)
+    classes = char_lookup(codes, lambda ch: _CLASS_CODES[scheme.classify(ch)])
+    locations, starts, ends = corpus.line_spans(include_epigraphs)
+    # line boundaries at or before each character: 2k + 1 inside encoded
+    # line k, an even count outside every encoded line
+    bounds = np.zeros(codes.size + 1, dtype=np.int32)
+    bounds[starts] += 1
+    bounds[ends] += 1
+    crossed = np.cumsum(bounds[:-1], dtype=np.int32)
+    inside = (crossed & 1).astype(bool)
 
-    unknown = np.flatnonzero(classes == _UNKNOWN)
+    unknown = np.flatnonzero(inside & (classes == _UNKNOWN))
     if unknown.size and policy == "error":
         first = int(unknown[0])
-        i = int(np.searchsorted(line_starts, first, side="right")) - 1
+        i = int(crossed[first]) >> 1
         part_idx, stanza_idx, lineno = locations[i].tolist()
         raise UnknownCharacterError(
-            text[first], part_idx, stanza_idx, lineno, first - int(line_starts[i])
+            raw[first], part_idx, stanza_idx, lineno, first - int(starts[i])
         )
     if unknown.size:
-        sample = ", ".join(repr(c) for c in sorted({text[k] for k in unknown.tolist()})[:8])
+        sample = ", ".join(repr(c) for c in sorted({raw[k] for k in unknown.tolist()})[:8])
         logger.warning(
             "skipped %d unknown character(s) while encoding %s: %s",
             unknown.size,
@@ -118,13 +125,11 @@ def encode_text(
             sample,
         )
 
-    # the last line starting at or before a character holds it: empty lines
-    # share their start with the next line
-    kept = np.flatnonzero(classes <= SYMBOL_V)
-    line_of = np.searchsorted(line_starts, kept, side="right") - 1
-    origin = np.empty((kept.size, 4), dtype=np.int32)
-    origin[:, :3] = locations[line_of]
-    origin[:, 3] = kept - line_starts[line_of]
+    # an origin row is its line's (part, stanza, line, -start) plus (0, 0, 0, position)
+    kept = np.flatnonzero(inside & (classes <= SYMBOL_V))
+    line_rows = np.column_stack((locations, -starts)).astype(np.int32)
+    origin = np.take(line_rows, crossed[kept] >> 1, axis=0)
+    origin[:, 3] += kept.astype(np.int32)
     return SymbolSequence(symbols=classes[kept], source_id=corpus.source_id, origin=origin)
 
 

@@ -731,6 +731,28 @@ def test_reruns_are_byte_identical(poem_file, layout_file, tmp_path, monkeypatch
     assert _tree_digest(a) == _tree_digest(b)
 
 
+def test_one_process_gives_the_bytes_of_separate_runs(
+    poem_file, layout_file, tmp_path, monkeypatch
+):
+    # main reuses one argument parser per process; no run may leave state in it
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    common = ["--input", poem_file, "--layout", layout_file, "--block-len", "400"]
+    runs = {
+        "encode": ["encode", *common, "--include-epigraphs"],
+        "profile": ["profile", *common, "--control-set", "none"],
+        "surrogate": ["surrogate", "--surrogate-seed", "3", "profile", *common],
+    }
+    for name, argv in runs.items():
+        assert run_cli(argv + ["--out", str(tmp_path / "one" / name)]) == 0
+    env = {**os.environ, "SOURCE_DATE_EPOCH": "1700000000"}
+    for name, argv in runs.items():
+        out = str(tmp_path / "separate" / name)
+        subprocess.run(
+            [sys.executable, "-m", "vcmarkov.cli", *argv, "--out", out], env=env, check=True
+        )
+        assert _tree_digest(tmp_path / "one" / name) == _tree_digest(out), name
+
+
 @pytest.mark.parametrize("argv", [
     ["bootstrap", "--subblock-len", "50", "--replicates", "5"],
     ["acf", "--subblock-len", "50", "--replicates", "5", "--max-lag", "4",

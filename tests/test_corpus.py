@@ -101,6 +101,12 @@ def test_placeholder_stanza(poem_corpus):
     assert ph.dotted_placeholder
 
 
+def test_digit_that_is_not_decimal_is_content():
+    # '²'.isdigit() holds but int('²') fails: the line is text, not a header
+    corpus = parse_corpus("I\n1\nfoo\n²\n", NUMBERED_LAYOUT)
+    assert [line.text for *_, line in corpus.iter_lines()] == ["foo", "²"]
+
+
 def test_lossless_reconstruction(poem_text, poem_layout):
     corpus = parse_corpus(poem_text, poem_layout, source_id="p")
     assert corpus.reconstruct() == poem_text
